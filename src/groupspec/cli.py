@@ -23,7 +23,8 @@ EXIT_PARSE = 1
 EXIT_COMPUTE = 2
 EXIT_AUDIT = 3
 
-_COMPUTE_ERRORS = (GroupError, WordError, InconclusiveError, SheafError, VarietyError)
+# OSError: an output file (``--out``) that cannot be written
+_COMPUTE_ERRORS = (GroupError, WordError, InconclusiveError, SheafError, VarietyError, OSError)
 
 
 def _cmd_run(args) -> int:
@@ -79,10 +80,10 @@ def _cmd_check(args) -> int:
             return EXIT_PARSE
     try:
         records = run_suites(suites, args.catalog)
+        _emit_check(records, args)
     except _COMPUTE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_COMPUTE
-    _emit_check(records, args)
     return EXIT_AUDIT if worst_status(records) == "fail" else EXIT_OK
 
 

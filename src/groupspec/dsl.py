@@ -41,8 +41,11 @@ class DslError(ValueError):
         self.col = col
 
 
+# An open-set literal such as 0,1 (no spaces) is one token, as in
+# ``sections S 0,1``; an index list ``[0,1]`` accepts it too.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<flag>--[a-z-]+)|(?P<num>-?\d+)|(?P<name>[A-Za-z_/.][\w./^*-]*)"
+    r"\s*(?:(?P<flag>--[a-z-]+)|(?P<open>\d+(?:,\d+)+)|(?P<num>-?\d+)"
+    r"|(?P<name>[A-Za-z_/.][\w./^*-]*)"
     r"|(?P<lit>\*|\^|[()\[\],;:=]|->)|(?P<bad>\S))"
 )
 
@@ -62,7 +65,7 @@ def _tokenize(line: str, lineno: int) -> list[Token]:
         if not m or m.end() == pos:
             break
         pos = m.end()
-        for kind in ("flag", "num", "name", "lit"):
+        for kind in ("flag", "open", "num", "name", "lit"):
             if m.group(kind) is not None:
                 out.append(Token(kind, m.group(kind), m.start(kind) + 1))
                 break
@@ -116,6 +119,20 @@ class _LineParser:
             col = t.col if t else len(self.raw) + 1
             raise DslError(f"expected {what}", self.lineno, col)
         return int(self.next().text)
+
+    def indices(self) -> list[int]:
+        """The items of ``[i, j, ...]`` after the ``[``, through the ``]``."""
+        out = []
+        while True:
+            t = self.peek()
+            if t is not None and t.kind == "open":
+                out += [int(part) for part in self.next().text.split(",")]
+            else:
+                out.append(self.number("element index"))
+            if not self.accept(","):
+                break
+        self.expect("]")
+        return out
 
     def flags(self) -> dict:
         out = {}
@@ -201,10 +218,7 @@ def _parse_ggroup_decl(p: _LineParser) -> dict:
     if via != "via":
         raise DslError("expected 'via'", p.lineno, p.tokens[p.pos - 1].col)
     if p.accept("["):
-        images = [p.number("element index")]
-        while p.accept(","):
-            images.append(p.number("element index"))
-        p.expect("]")
+        images = p.indices()
         return {"name": name, "base": base, "carrier": carrier, "images": images}
     tag = p.name("'id' or image list")
     if tag != "id":
@@ -302,10 +316,7 @@ def parse_program(text: str) -> Program:
             if via != "via":
                 raise DslError("expected 'via'", lineno, p.tokens[p.pos - 1].col)
             if p.accept("["):
-                images = [p.number()]
-                while p.accept(","):
-                    images.append(p.number())
-                p.expect("]")
+                images = p.indices()
             else:
                 tag = p.name("'id' or image list")
                 if tag != "id":
@@ -362,6 +373,13 @@ def parse_program(text: str) -> Program:
 # -- interpretation --------------------------------------------------------
 
 
+def _checked_images(images: list[int], target: GroupTable, lineno: int) -> list[int]:
+    for x in images:
+        if not 0 <= x < target.order:
+            raise DslError(f"image {x} out of range for {target.name} (order {target.order})", lineno, 1)
+    return images
+
+
 @dataclass
 class Interpreter:
     env: dict = field(default_factory=dict)
@@ -409,8 +427,15 @@ class Interpreter:
             gens = [_parse_cycles(part, degree) for part in cycles.split(";") if part.strip()]
             g = from_permutations(degree, gens, name=d["name"])
         else:  # table
-            with open(d["args"][0], encoding="utf-8") as fh:
-                g = parse_cayley_text(fh.read())
+            path = d["args"][0]
+            # the file is program input, so a bad one is a parse error
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    g = parse_cayley_text(fh.read())
+            except OSError as e:
+                raise DslError(f"cannot read table {path!r}: {e.strerror}", st.lineno, 1) from None
+            except GroupError as e:
+                raise DslError(f"table {path!r}: {e}", st.lineno, 1) from None
         self.env[d["name"]] = g
         self.emit(f"group {d['name']}: order {g.order}")
 
@@ -423,7 +448,7 @@ class Interpreter:
                 raise DslError("'via id' needs identical base and carrier", st.lineno, 1)
             hom = Homomorphism.identity(base)
         else:
-            hom = Homomorphism(base, carrier, d["images"])
+            hom = Homomorphism(base, carrier, _checked_images(d["images"], carrier, st.lineno))
         obj = GGroup(base, carrier, hom, name=d["name"])
         self.env[d["name"]] = obj
         self.emit(f"ggroup {d['name']}: {base.name} -> {carrier.name}")
@@ -512,7 +537,7 @@ class Interpreter:
                 raise DslError("'via id' needs identical carriers", st.lineno, 1)
             hom = Homomorphism.identity(A.carrier)
         else:
-            hom = Homomorphism(A.carrier, B.carrier, d["images"])
+            hom = Homomorphism(A.carrier, B.carrier, _checked_images(d["images"], B.carrier, st.lineno))
         f = GMorphism(A, B, hom)
         variant = d["flags"].get("variant", "t1")
         prime_def = d["flags"].get("prime-def", "elementwise")

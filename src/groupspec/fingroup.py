@@ -606,7 +606,10 @@ def parse_cayley_text(text: str) -> GroupTable:
         raise GroupError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        row = [int(tok) for tok in ln.split()]
+        try:
+            row = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise GroupError(f"non-integer entry in table row {ln!r}") from None
         if len(row) != n:
             raise GroupError("table row has wrong length")
         rows.append(row)

@@ -134,39 +134,61 @@ def reduce_syllables(ctx: WordContext, raw: Iterable) -> Word:
 
 
 def _push(G: GroupTable, stack: list, s) -> None:
+    if (s[1] == G.id) if s[0] == "g" else (s[2] == 0):
+        return  # a trivial syllable
+    if stack and _same_factor(stack[-1], s):
+        s = _merge(G, stack.pop(), s)
+        if s is None:
+            return
+    stack.append(s)
+
+
+def _same_factor(s, t) -> bool:
+    """Whether syllables s and t lie in one free factor (G or one <X_i>)."""
+    return s[0] == t[0] and (s[0] == "g" or s[1] == t[1])
+
+
+def _merge(G: GroupTable, s, t):
+    """The product of two syllables of one factor, or None if it is trivial."""
     if s[0] == "g":
-        if s[1] == G.id:
-            return
-        if stack and stack[-1][0] == "g":
-            top = stack.pop()
-            _push(G, stack, ("g", G.op(top[1], s[1])))
-        else:
-            stack.append(s)
-    else:
-        if s[2] == 0:
-            return
-        if stack and stack[-1][0] == "x" and stack[-1][1] == s[1]:
-            top = stack.pop()
-            _push(G, stack, ("x", s[1], top[2] + s[2]))
-        else:
-            stack.append(s)
+        g = G.op(s[1], t[1])
+        return None if g == G.id else ("g", g)
+    e = s[2] + t[2]
+    return ("x", s[1], e) if e else None
+
+
+def _join(G: GroupTable, left: tuple, right: tuple) -> tuple:
+    """Reduced product of two reduced syllable tuples.
+
+    Only the seam can cancel: pop matching syllables there until two of one
+    factor merge into a nontrivial syllable, which cannot merge further
+    because its neighbours lie in other factors.
+    """
+    i, j = len(left), 0
+    while i and j < len(right) and _same_factor(left[i - 1], right[j]):
+        m = _merge(G, left[i - 1], right[j])
+        i -= 1
+        j += 1
+        if m is not None:
+            return left[:i] + (m,) + right[j:]
+    return left[:i] + right[j:]
 
 
 def concat(a: Word, b: Word) -> Word:
     if a.context != b.context:
         raise WordError("words from different contexts")
-    return reduce_syllables(a.context, a.syllables + b.syllables)
+    return Word(a.context, _join(a.context.group, a.syllables, b.syllables))
+
+
+def _inverse_syllables(G: GroupTable, syllables: tuple) -> tuple:
+    return tuple(
+        ("g", G.inverse(s[1])) if s[0] == "g" else ("x", s[1], -s[2])
+        for s in reversed(syllables)
+    )
 
 
 def inverse(w: Word) -> Word:
-    G = w.context.group
-    out = []
-    for s in reversed(w.syllables):
-        if s[0] == "g":
-            out.append(("g", G.inverse(s[1])))
-        else:
-            out.append(("x", s[1], -s[2]))
-    return Word(w.context, tuple(out))
+    return Word(w.context, _inverse_syllables(w.context.group, w.syllables))
 
 
 def power(w: Word, k: int) -> Word:
@@ -247,6 +269,15 @@ def _words_upto(ctx: WordContext, max_len: int) -> tuple:
     return tuple(enumerate_words(ctx, max_len))
 
 
+@lru_cache(maxsize=32)
+def _commute_index(ctx: WordContext, max_len: int) -> dict:
+    """The words of _words_upto(ctx, max_len) bucketed by _commute_key, in order."""
+    index: dict = {}
+    for y in _words_upto(ctx, max_len):
+        index.setdefault(_commute_key(y), []).append(y)
+    return {key: tuple(words) for key, words in index.items()}
+
+
 _TOKEN = re.compile(r"^(?:(g(\d+))|(X(\d+)(\^(-?\d+))?)|1)$")
 
 
@@ -290,23 +321,21 @@ def _spans_commute(x_gens: Sequence[Word], y_gens: Sequence[Word]) -> bool:
     return True
 
 
-def _cyclically_reduce(w: Word) -> Word:
-    """Conjugate w to cyclically reduced form (first/last syllables cannot cancel)."""
-    cur = w
-    while len(cur.syllables) >= 2:
-        first, last = cur.syllables[0], cur.syllables[-1]
-        cancels = (
-            (first[0] == "g" and last[0] == "g")
-            or (first[0] == "x" and last[0] == "x" and first[1] == last[1])
-        )
-        if not cancels:
-            break
-        head = Word(cur.context, (first,))
-        nxt = concat(concat(inverse(head), cur), head)
-        if nxt.length() >= cur.length():
-            break
-        cur = nxt
-    return cur
+def _split(w: Word) -> tuple[tuple, tuple]:
+    """Syllables (u, c) with w = u * c * u^-1 and c cyclically reduced.
+
+    One pass from both ends: mutually inverse end syllables go into u; when
+    the ends lie in one factor without cancelling, w is conjugated by its
+    first syllable, which merges them into the last syllable of c.
+    """
+    s, G = w.syllables, w.context.group
+    i, j = 0, len(s) - 1
+    while i < j and _same_factor(s[i], s[j]):
+        m = _merge(G, s[j], s[i])
+        if m is not None:
+            return s[: i + 1], s[i + 1 : j] + (m,)
+        i, j = i + 1, j - 1
+    return s[:i], s[i : j + 1]
 
 
 def _word_order(w: Word) -> Optional[int]:
@@ -317,10 +346,34 @@ def _word_order(w: Word) -> Optional[int]:
     """
     if w.is_identity():
         return 1
-    core = _cyclically_reduce(w)
-    if core.is_constant():
-        return w.context.group.element_order(core.syllables[0][1])
+    _, core = _split(w)
+    if len(core) == 1 and core[0][0] == "g":
+        return w.context.group.element_order(core[0][1])
     return None
+
+
+def _commute_key(w: Word) -> tuple:
+    """A key that any two commuting non-identity words share.
+
+    In a free product two commuting elements lie in one conjugate of a
+    factor or are powers of one element (Magnus-Karrass-Solitar,
+    Combinatorial Group Theory, Cor. 4.1.6).  So a torsion word u*g*u^-1 is
+    keyed by u, which ends in a letter and so names its conjugate of G; any
+    other word by the root r = u*p*u^-1 of its centralizer, up to inversion,
+    where c = p^k with p primitive (X_i for c = X_i^e).  Words with one key
+    need not commute.
+    """
+    u, c = _split(w)
+    if len(c) == 1 and c[0][0] == "g":
+        return ("t", u)
+    if len(c) == 1:
+        p = (("x", c[0][1], 1),)
+    else:
+        n = len(c)
+        p = next(c[:d] for d in range(1, n + 1) if n % d == 0 and c == c[:d] * (n // d))
+    G = w.context.group
+    r = _join(G, u + p, _inverse_syllables(G, u))
+    return ("i", min(r, _inverse_syllables(G, r)))
 
 
 def _recognize_cyclic(gens: Sequence[Word]) -> Optional[tuple[Word, Optional[int]]]:
@@ -395,17 +448,13 @@ def bounded_divisor_witness(
         raise WordError("the identity is never a divisor of zero")
     if max_len < 1:
         raise WordError("max_len must be >= 1")
+    if x.context != ctx:
+        raise WordError("words from different contexts")
     x_gens = span_generators(x)
-    x_cyc = _recognize_cyclic(x_gens) if variant == "t2" else None
-    if variant == "t2" and x_cyc is None:
-        raise InconclusiveError(
-            "span of x not recognized cyclic; bounded T2 search unsupported"
-        )
-    for y in _words_upto(ctx, max_len):
-        if y.is_identity():
-            continue
-        if variant == "t1":
-            # necessary quick filter: x and y themselves must commute
+    if variant == "t1":
+        # only words sharing x's key can commute with x; a hit is still
+        # certified by the commutation test and the span check
+        for y in _commute_index(ctx, max_len).get(_commute_key(x), ()):
             if concat(x, y).syllables != concat(y, x).syllables:
                 continue
             y_gens = span_generators(y)
@@ -417,20 +466,26 @@ def bounded_divisor_witness(
                     "checked_pairs": len(x_gens) * len(y_gens),
                 }
                 return y, cert
-        else:
-            y_cyc = _recognize_cyclic(span_generators(y))
-            if y_cyc is None:
-                raise InconclusiveError(
-                    f"span of candidate {y} not recognized cyclic; "
-                    "canonical-first witness cannot be certified"
-                )
-            if _cyclic_intersection_trivial(x_cyc, y_cyc):
-                cert = {
-                    "variant": "t2",
-                    "x_root": str(x_cyc[0]),
-                    "x_order": x_cyc[1],
-                    "y_root": str(y_cyc[0]),
-                    "y_order": y_cyc[1],
-                }
-                return y, cert
+        return None
+    x_cyc = _recognize_cyclic(x_gens)
+    if x_cyc is None:
+        raise InconclusiveError(
+            "span of x not recognized cyclic; bounded T2 search unsupported"
+        )
+    for y in _words_upto(ctx, max_len):
+        y_cyc = _recognize_cyclic(span_generators(y))
+        if y_cyc is None:
+            raise InconclusiveError(
+                f"span of candidate {y} not recognized cyclic; "
+                "canonical-first witness cannot be certified"
+            )
+        if _cyclic_intersection_trivial(x_cyc, y_cyc):
+            cert = {
+                "variant": "t2",
+                "x_root": str(x_cyc[0]),
+                "x_order": x_cyc[1],
+                "y_root": str(y_cyc[0]),
+                "y_order": y_cyc[1],
+            }
+            return y, cert
     return None

@@ -72,6 +72,11 @@ class SchemeSection:
         raise SheafError(f"point {point!r} not in the section domain")
 
 
+def _check_point(scheme, point) -> None:
+    if point not in scheme.points:
+        raise SheafError(f"no point {point!r}: {scheme.label()} has {len(scheme.points)} points")
+
+
 def _mkvalues(mapping: dict) -> tuple:
     return tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
 
@@ -227,6 +232,7 @@ class AffineScheme:
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
+        _check_point(self, p)
         mo = self.minimal_open(p)
         group = self.section_group(mo)
         rad = point_radical(self.spectrum, p)
@@ -458,6 +464,7 @@ class GluedScheme:
         return s.value_at(point)
 
     def stalk(self, point) -> tuple[SectionGroup, dict]:
+        _check_point(self, point)
         side, p = point
         mo = self.minimal_open(point)
         group = self.section_group(mo)

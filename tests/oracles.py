@@ -9,6 +9,7 @@ same generating set are memoized; nothing else is shared.
 
 import numpy as np
 
+from groupspec import freeprod as fp
 from groupspec.fingroup import GroupTable
 
 
@@ -128,3 +129,46 @@ def naive_spectrum(structure, variant: str) -> list[frozenset]:
     candidates = [N for N in naive_normal_subgroups(G) if len(N) < G.order]
     oracle = SpanOracle(structure)
     return [N for N in candidates if naive_is_prime(structure, N, variant, oracle)]
+
+
+def naive_divisor_witness(ctx, x, variant: str, max_len: int):
+    """The full-scan bounded divisor search: every word of length <= max_len,
+    in enumeration order; the first certified witness wins.  Same results,
+    certificates and InconclusiveError messages as
+    freeprod.bounded_divisor_witness."""
+    x_gens = fp.span_generators(x)
+    if variant == "t2":
+        x_cyc = fp._recognize_cyclic(x_gens)
+        if x_cyc is None:
+            raise fp.InconclusiveError(
+                "span of x not recognized cyclic; bounded T2 search unsupported"
+            )
+    for y in fp.enumerate_words(ctx, max_len):
+        if variant == "t1":
+            # x and y lie in their spans, so spans commute only if x, y do
+            if fp.concat(x, y).syllables != fp.concat(y, x).syllables:
+                continue
+            y_gens = fp.span_generators(y)
+            if all(fp.commutator(a, b).is_identity() for a in x_gens for b in y_gens):
+                return y, {
+                    "variant": "t1",
+                    "x_generators": [str(g) for g in x_gens],
+                    "y_generators": [str(g) for g in y_gens],
+                    "checked_pairs": len(x_gens) * len(y_gens),
+                }
+        else:
+            y_cyc = fp._recognize_cyclic(fp.span_generators(y))
+            if y_cyc is None:
+                raise fp.InconclusiveError(
+                    f"span of candidate {y} not recognized cyclic; "
+                    "canonical-first witness cannot be certified"
+                )
+            if fp._cyclic_intersection_trivial(x_cyc, y_cyc):
+                return y, {
+                    "variant": "t2",
+                    "x_root": str(x_cyc[0]),
+                    "x_order": x_cyc[1],
+                    "y_root": str(y_cyc[0]),
+                    "y_order": y_cyc[1],
+                }
+    return None

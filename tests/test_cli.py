@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +88,74 @@ def test_suites_listing(capsys):
     assert code == 0
     names = out.split()
     assert "prop2.1" in names and "thm5.1" in names and len(names) == 24
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run_process(argv, tmp_path):
+    """The CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupspec.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    return proc.returncode, proc.stderr
+
+
+def _run_program_process(text, tmp_path):
+    f = tmp_path / "prog.gs"
+    f.write_text(text)
+    return _run_process(["run", str(f)], tmp_path)
+
+
+def _assert_one_line(err):
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def test_run_missing_table_file_exit_1(tmp_path):
+    code, err = _run_program_process("group G = table missing.txt\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert "missing.txt" in err
+
+
+def test_run_non_integer_table_token_exit_1(tmp_path):
+    (tmp_path / "z2.txt").write_text("order 2\n0 1\n1 x\n")
+    code, err = _run_program_process("group G = table z2.txt\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert "'1 x'" in err
+
+
+def test_run_out_of_range_image_exit_1(tmp_path):
+    code, err = _run_program_process(
+        "group S3 = sym(3)\nggroup X = (S3 -> S3) via [0, 1, 2, 3, 4, 9]\n", tmp_path
+    )
+    assert code == 1
+    _assert_one_line(err)
+    assert "image 9 out of range" in err
+
+
+def test_run_export_into_missing_directory_exit_2(tmp_path):
+    code, err = _run_program_process(
+        "group Z2 = cyclic(2)\nspec Z2 --variant t2 as S\nexport S --out nodir/s.json\n", tmp_path
+    )
+    assert code == 2
+    _assert_one_line(err)
+
+
+def test_check_out_into_missing_directory_exit_2(tmp_path):
+    code, err = _run_process(["check", "prop3.4", "--out", "nodir/r.json"], tmp_path)
+    assert code == 2
+    _assert_one_line(err)
+
+
+def test_run_stalk_at_missing_point_exit_2(tmp_path):
+    code, err = _run_program_process(
+        "group S5 = sym(5)\nspec S5 --variant t2 as S\nstalk S 9\n", tmp_path
+    )
+    assert code == 2
+    _assert_one_line(err)
+    assert "no point 9" in err

@@ -115,3 +115,25 @@ def test_export_via_program(tmp_path):
     data = json.loads(out.read_text())
     assert data["carrier_order"] == 120
     assert len(data["primes"]) == 2
+
+
+def test_open_set_literals_are_one_token():
+    prog = parse_program(
+        "group S5 = sym(5)\n"
+        "spec S5 --variant t2 as S\n"
+        "sections S 0,1\n"
+        "glue S 0,1 S 0 as D\n"
+        "ggroup X = (S5 -> S5) via [0,1,2]\n"
+    )
+    sections, glue, ggroup = prog.statements[2:]
+    assert sections.data["arg"] == "0,1"
+    assert (glue.data["u1"], glue.data["u2"]) == (frozenset({0, 1}), frozenset({0}))
+    assert ggroup.data["images"] == [0, 1, 2]
+    interp = run_program(
+        "group S5 = sym(5)\n"
+        "spec S5 --variant t2 as S\n"
+        "sections S 0,1\n"
+        "glue S 0,1 S 0,1 as D\n"
+    )
+    assert interp.outputs[2] == "sections S over [0, 1]: group of order 120"
+    assert interp.outputs[3].startswith("glued scheme: 2 points")

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupspec.fingroup import Homomorphism, cyclic, symmetric
+from groupspec.fingroup import Homomorphism, cyclic, quaternion8, symmetric
 from groupspec.freeprod import (
     InconclusiveError,
+    _commute_key,
+    _word_order,
     WordContext,
     WordError,
     bounded_divisor_witness,
@@ -18,6 +22,7 @@ from groupspec.freeprod import (
     reduce_syllables,
     parse_word as _pw,
 )
+from oracles import naive_divisor_witness
 
 S3 = symmetric(3)
 CTX = WordContext(S3, 2)
@@ -172,3 +177,65 @@ def test_evaluate_is_homomorphic(a_raw, b_raw, assignment):
     va, vb = evaluate(a, hom, assignment), evaluate(b, hom, assignment)
     assert evaluate(concat(a, b), hom, assignment) == S3.mul[va][vb]
     assert evaluate(inverse(a), hom, assignment) == S3.inv[va]
+
+
+def _reduced(raw):
+    return reduce_syllables(CTX, [("g", s[1]) if s[0] == "c" else s for s in raw])
+
+
+@given(raw_words(), raw_words())
+@settings(max_examples=200, deadline=None)
+def test_concat_matches_full_reduction(a_raw, b_raw):
+    a, b = _reduced(a_raw), _reduced(b_raw)
+    assert concat(a, b).syllables == reduce_syllables(CTX, a.syllables + b.syllables).syllables
+
+
+@pytest.mark.parametrize(
+    "make,variables,max_len",
+    [(lambda: S3, 1, 4), (quaternion8, 1, 4), (lambda: cyclic(2), 2, 3), (lambda: S3, 2, 3)],
+    ids=["S3-1-4", "Q8-1-4", "Z2-2-3", "S3-2-3"],
+)
+def test_commuting_words_share_a_key(make, variables, max_len):
+    G = make()
+    words = list(enumerate_words(WordContext(G, variables), max_len))
+    keys = [_commute_key(x) for x in words]
+    for i, x in enumerate(words):
+        # torsion orders divide |G|, so powers up to |G| decide the order
+        trivial = [power(x, k).is_identity() for k in range(1, G.order + 1)]
+        order = trivial.index(True) + 1 if any(trivial) else None
+        assert _word_order(x) == order, str(x)
+        assert (order is None) == (keys[i][0] == "i"), str(x)
+        for j in range(i + 1, len(words)):
+            y = words[j]
+            if concat(x, y).syllables == concat(y, x).syllables:
+                assert keys[i] == keys[j], (str(x), str(y))
+            elif keys[i][0] == "i":
+                # an infinite-order word is keyed by its root, so the key is exact
+                assert keys[i] != keys[j], (str(x), str(y))
+
+
+def _outcome(search, ctx, x, variant, max_len):
+    try:
+        hit = search(ctx, x, variant, max_len)
+    except InconclusiveError as e:
+        return "inconclusive", str(e)
+    return None if hit is None else (hit[0].syllables, hit[1])
+
+
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+def test_bounded_search_matches_full_scan(variant):
+    rng = random.Random(0)
+    cases = []
+    for G, max_len in ((cyclic(2), 4), (cyclic(3), 5), (cyclic(6), 2)):
+        ctx = WordContext(G, 1)
+        cases += [(ctx, x, max_len) for x in enumerate_words(ctx, max_len)]
+    for G in (S3, quaternion8()):
+        ctx = WordContext(G, 1)
+        words = list(enumerate_words(ctx, 4))
+        short = [x for x in words if x.length() <= 2]
+        sample = short + rng.sample(words[len(short):], 30)
+        cases += [(ctx, x, 4) for x in sample]
+    for ctx, x, max_len in cases:
+        assert _outcome(bounded_divisor_witness, ctx, x, variant, max_len) == _outcome(
+            naive_divisor_witness, ctx, x, variant, max_len
+        ), str(x)

@@ -57,6 +57,15 @@ def test_stalks_bijective_for_s5():
         assert len(group) == quotient(S5, point_radical(X.spectrum, p)).table.order
 
 
+def test_stalk_rejects_missing_points():
+    with pytest.raises(SheafError, match="no point 9"):
+        _s5_scheme().stalk(9)
+    empty = AffineScheme(spectrum(identity_object(symmetric(3), "S3"), "t1"))
+    assert empty.points == ()
+    with pytest.raises(SheafError, match="no point 0"):
+        empty.stalk(0)
+
+
 def test_sheaf_axioms_on_catalog_examples():
     for obj, variant in [
         (identity_object(S5, "S5"), "t2"),
