@@ -487,7 +487,7 @@ class Interpreter:
         self.emit(f"variety over {d['group']}^{d['nvars']}: {len(V.points)} points")
 
     def _scheme(self, name: str, lineno: int):
-        from .sheaf import AffineScheme
+        from .sheaf import AffineScheme, Scheme
         from .spectrum import Spectrum
 
         v = self.env.get(name)
@@ -496,7 +496,7 @@ class Interpreter:
             if key not in self.env:
                 self.env[key] = AffineScheme(v)
             return self.env[key]
-        if hasattr(v, "section_group"):
+        if isinstance(v, Scheme):
             return v
         raise DslError(f"{name!r} is not a spectrum or scheme", lineno, 1)
 
@@ -515,14 +515,15 @@ class Interpreter:
         d = st.data
         X = self._scheme(d["target"], st.lineno)
         try:
-            point = int(d["arg"])
+            k = int(d["arg"])
         except ValueError:
             raise DslError("stalk needs a prime index", st.lineno, d["argcol"]) from None
-        group, report = X.stalk(point)
+        # point #k of the scheme; X.stalk rejects an index outside the points
+        group, report = X.stalk(X.points[k] if 0 <= k < len(X.points) else k)
         if d["as"]:
             self.env[d["as"]] = group
         self.emit(
-            f"stalk {d['target']} at #{point}: order {len(group)}, "
+            f"stalk {d['target']} at #{k}: order {len(group)}, "
             f"quotient comparison surjective={report['surjective']} injective={report['injective']}"
         )
 
@@ -574,7 +575,7 @@ class Interpreter:
             self.audit_failed = True
 
     def _do_export(self, st: Statement) -> None:
-        from .sheaf import SectionGroup
+        from .sheaf import Scheme
         from .spectrum import Spectrum
         from .variety import VarietySet
 
@@ -594,7 +595,7 @@ class Interpreter:
             payload = export_mod.to_json_bytes(
                 export_mod.variety_to_dict(v, coordinate_group(v))
             )
-        elif hasattr(v, "section_group"):
+        elif isinstance(v, Scheme):
             if fmt != "json":
                 raise DslError("schemes export as json only", st.lineno, 1)
             payload = export_mod.to_json_bytes(export_mod.scheme_to_dict(v))

@@ -301,6 +301,11 @@ class Homomorphism:
         object.__setattr__(self, "image", tuple(int(x) for x in image))
         if len(self.image) != source.order:
             raise GroupError("image table has wrong length")
+        bad = [x for x in self.image if not 0 <= x < target.order]
+        if bad:
+            raise GroupError(
+                f"image {bad[0]} out of range for {target.name} (order {target.order})"
+            )
 
     def __call__(self, x: int) -> int:
         return self.image[x]
@@ -341,12 +346,16 @@ class Homomorphism:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Coset group H/N with its projection, cosets ordered by least member."""
+    """Coset group H/N with its projection, cosets ordered by least member.
+
+    ``reps[c]`` is the least member of coset c.
+    """
 
     parent: GroupTable
     kernel: Subgroup
     table: GroupTable
     projection: Homomorphism
+    reps: tuple[int, ...]
 
 
 def normal_closure(H: GroupTable, S: Iterable[int]) -> Subgroup:
@@ -398,7 +407,7 @@ def quotient(H: GroupTable, N: Subgroup) -> QuotientGroup:
     labels = [H.labels[int(r)] + "*" if len(N) > 1 else H.labels[int(r)] for r in reps]
     table = GroupTable(qmul, labels=labels, name=f"{H.name}/{len(N)}", validate=False)
     projection = Homomorphism(H, table, proj)
-    return QuotientGroup(H, N, table, projection)
+    return QuotientGroup(H, N, table, projection, tuple(int(r) for r in reps))
 
 
 def is_nilpotent(L: Subgroup) -> bool:

@@ -1,7 +1,7 @@
 """Objects (H, f: G -> H) over a fixed base group, and their morphisms.
 
 The structure map need not be injective.  Conjugate spans G(x), divisor
-witnesses, nilpotent elements and Hom-set enumeration all live here.
+witnesses and Hom-set enumeration live here.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from .fingroup import (
     Homomorphism,
     Subgroup,
     commutator_subgroup,
-    is_nilpotent,
 )
 from . import freeprod
 
-__all__ = ["GGroup", "GMorphism", "identity_object"]
+__all__ = ["GGroup", "GMorphism", "identity_object", "enumerate_g_morphisms"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +72,6 @@ class GGroup:
         pool = self._caches.setdefault("subs", {})
         return pool.setdefault(sub.members, sub)
 
-    def span_commutator_trivial(self, S1: Subgroup, S2: Subgroup) -> bool:
-        cache = self._caches.setdefault("commtriv", {})
-        key = (S1.members, S2.members)
-        if key not in cache:
-            cache[key] = commutator_subgroup(self.carrier, S1, S2).is_trivial()
-        return cache[key]
-
     def _condition(self, S1: Subgroup, S2: Subgroup, variant: str) -> Subgroup:
         """The subgroup whose containment in an ideal drives primality."""
         if variant == "t1":
@@ -120,14 +112,6 @@ class GGroup:
                 if self._condition(S1, S2, variant).is_trivial():
                     return False
         return True
-
-    def nilpotent_elements(self) -> tuple[int, ...]:
-        """Elements whose conjugate span is a nilpotent subgroup."""
-        cache = self._caches.setdefault("nilp", {})
-        if "v" not in cache:
-            out = [x for x in range(self.carrier.order) if is_nilpotent(self.g_span(x))]
-            cache["v"] = tuple(out)
-        return cache["v"]
 
     # -- word evaluation ---------------------------------------------------
 
@@ -241,7 +225,3 @@ def enumerate_g_morphisms(A: GGroup, B: GGroup) -> list[GMorphism]:
         seen.add(timg)
         out.append(GMorphism(A, B, Homomorphism(HA, HB, img)))
     return out
-
-
-GGroup.enumerate_g_morphisms = staticmethod(enumerate_g_morphisms)
-__all__.append("enumerate_g_morphisms")

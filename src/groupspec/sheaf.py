@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from .fingroup import (
     GroupError,
@@ -33,6 +34,7 @@ from .spectrum import (
 
 __all__ = [
     "SheafError",
+    "Scheme",
     "SchemeSection",
     "SectionGroup",
     "AffineScheme",
@@ -72,6 +74,30 @@ class SchemeSection:
         raise SheafError(f"point {point!r} not in the section domain")
 
 
+@runtime_checkable
+class Scheme(Protocol):
+    """What a scheme offers: points, a finite topology and section groups.
+
+    ``AffineScheme`` and ``GluedScheme`` both satisfy it; ``_valid_values``
+    certifies a value map over an open, or returns None if it is no section.
+    """
+
+    points: tuple
+    base: GroupTable
+
+    def label(self) -> str: ...
+    def opens(self) -> list[frozenset]: ...
+    def is_open(self, U: Iterable) -> bool: ...
+    def minimal_open(self, p) -> frozenset: ...
+    def section_group(self, U: Iterable) -> "SectionGroup": ...
+    def mul_sections(self, s: SchemeSection, t: SchemeSection) -> SchemeSection: ...
+    def restrict(self, s: SchemeSection, U: frozenset) -> SchemeSection: ...
+    def constant_section(self, U: frozenset, g: int) -> SchemeSection: ...
+    def stalk(self, p) -> tuple["SectionGroup", dict]: ...
+    def charts(self) -> list: ...
+    def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]: ...
+
+
 def _check_point(scheme, point) -> None:
     if point not in scheme.points:
         raise SheafError(f"no point {point!r}: {scheme.label()} has {len(scheme.points)} points")
@@ -79,6 +105,10 @@ def _check_point(scheme, point) -> None:
 
 def _mkvalues(mapping: dict) -> tuple:
     return tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
+
+
+def _open_order(w: frozenset) -> tuple:
+    return (len(w), repr(sorted(w, key=repr)))
 
 
 class SectionGroup:
@@ -102,9 +132,6 @@ class SectionGroup:
 
     def multiply(self, i: int, j: int) -> int:
         return self.index_of(self.scheme.mul_sections(self.elements[i], self.elements[j]))
-
-    def identity_index(self) -> int:
-        return self.index_of(self.scheme.constant_section(self.open_set, self.scheme.base.id))
 
     def constant_index(self, g: int) -> int:
         return self.index_of(self.scheme.constant_section(self.open_set, g))
@@ -136,7 +163,13 @@ class SectionGroup:
 
 
 class AffineScheme:
-    """The spectrum of an object with its structural sheaf."""
+    """The spectrum of an object with its structural sheaf.
+
+    A value map on an open U is a section iff, at every point p of U, its
+    values on minopen(p) are the cosets of one carrier element.  Those value
+    tuples form p's local image, computed once per point, and the sections
+    over U are the natural join of the local images of U's points.
+    """
 
     def __init__(self, spec: Spectrum):
         self.spectrum = spec
@@ -144,6 +177,7 @@ class AffineScheme:
         self.points: tuple = tuple(range(len(spec.primes)))
         self._sections: dict[frozenset, SectionGroup] = {}
         self._quotients: dict[int, QuotientGroup] = {}
+        self._images: dict[int, tuple[tuple, dict]] = {}
 
     def label(self) -> str:
         return f"Spec_{self.spectrum.variant}({self.spectrum.object.label()})"
@@ -164,6 +198,22 @@ class AffineScheme:
             )
         return self._quotients[p]
 
+    def _local_image(self, p: int) -> tuple[tuple, dict]:
+        """(sorted minopen(p), image): image maps the coset indices of h over
+        minopen(p) to the first such h, scanning coset by coset, rep * m
+        for m in P_p's members; that h certifies p in every section."""
+        if p not in self._images:
+            H = self.spectrum.object.carrier
+            mo = tuple(sorted(self.minimal_open(p)))
+            projections = [self.point_quotient(r).projection.image for r in mo]
+            members = list(self.spectrum.primes[p].members.members)
+            image: dict = {}
+            for rep in self.point_quotient(p).reps:
+                for h in H.mul[rep, members].tolist():
+                    image.setdefault(tuple(proj[h] for proj in projections), h)
+            self._images[p] = (mo, image)
+        return self._images[p]
+
     # -- section arithmetic ------------------------------------------------
 
     def constant_section(self, U: frozenset, g: int) -> SchemeSection:
@@ -177,39 +227,32 @@ class AffineScheme:
     def mul_sections(self, s: SchemeSection, t: SchemeSection) -> SchemeSection:
         if s.open_set != t.open_set:
             raise SheafError("sections over different opens")
-        vals, certs = {}, {}
-        for (p, a), (_, b) in zip(s.values, t.values):
-            q = self.point_quotient(p)
-            vals[p] = q.table.op(a, b)
-        for p in s.open_set:
-            certs[p] = self._certify(s.open_set, vals, p)
-        return SchemeSection(s.open_set, _mkvalues(vals), certs)
+        values = tuple(
+            (p, self.point_quotient(p).table.op(a, b))
+            for (p, a), (_, b) in zip(s.values, t.values)
+        )
+        certs = self._valid_values(s.open_set, dict(values))
+        if certs is None:
+            raise SheafError("product of sections is not a section")
+        return SchemeSection(s.open_set, values, certs)
 
     def restrict(self, s: SchemeSection, U2: frozenset) -> SchemeSection:
         if not U2 <= s.open_set:
             raise SheafError("restriction to a non-subset")
-        vals = {p: v for p, v in s.values if p in U2}
+        values = tuple((p, v) for p, v in s.values if p in U2)
         certs = {p: h for p, h in s.certificates.items() if p in U2}
-        return SchemeSection(frozenset(U2), _mkvalues(vals), certs)
-
-    def _certify(self, U: frozenset, vals: dict, p: int) -> int:
-        """A carrier element realizing vals on the minimal open of p, or raise."""
-        H = self.spectrum.object.carrier
-        q = self.point_quotient(p)
-        mo = self.minimal_open(p)
-        rep = next(h for h in range(H.order) if q.projection(h) == vals[p])
-        members = self.spectrum.primes[p].members.members
-        for m in members:
-            h = H.op(rep, m)
-            if all(self.point_quotient(r).projection(h) == vals[r] for r in mo):
-                return h
-        raise SheafError(f"no realizing element at point {p}")
+        return SchemeSection(frozenset(U2), values, certs)
 
     def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]:
-        try:
-            return {p: self._certify(U, vals, p) for p in U}
-        except SheafError:
-            return None
+        """Each point's certificate for vals on the open U, or None."""
+        certs = {}
+        for p in U:
+            mo, image = self._local_image(p)
+            h = image.get(tuple(vals[r] for r in mo))
+            if h is None:
+                return None
+            certs[p] = h
+        return certs
 
     def section_group(self, U: Iterable) -> SectionGroup:
         U = frozenset(U)
@@ -217,18 +260,43 @@ class AffineScheme:
             if not self.is_open(U):
                 raise SheafError(f"{sorted(U)} is not open")
             pts = sorted(U)
+            listed = sorted(pts, key=repr)  # the point order of section values
             out = []
-            ranges = [range(self.point_quotient(p).table.order) for p in pts]
-            for combo in itertools.product(*ranges):
-                vals = dict(zip(pts, combo))
-                certs = self._valid_values(U, vals)
-                if certs is not None:
-                    out.append(SchemeSection(U, _mkvalues(vals), certs))
+            for row in self._join(pts):
+                vals = dict(zip(pts, row))
+                values = tuple((p, vals[p]) for p in listed)
+                out.append(SchemeSection(U, values, self._valid_values(U, vals)))
             self._sections[U] = SectionGroup(self, U, out)
         return self._sections[U]
 
-    def section_value(self, s: SchemeSection, p):
-        return s.value_at(p)
+    def _join(self, pts: list) -> list[tuple]:
+        """Value tuples over pts (an open, sorted) lying in every point's
+        local image, in lexicographic order.
+
+        Points with larger minimal opens join first; a later point whose
+        minimal open is already bound only filters the rows.
+        """
+        bound: list = []  # the points each row gives values for, in row order
+        rows: list[tuple] = [()]
+        for p in sorted(pts, key=lambda p: (-len(self.minimal_open(p)), p)):
+            mo, image = self._local_image(p)
+            col = {r: i for i, r in enumerate(bound)}
+            shared = [i for i, r in enumerate(mo) if r in col]
+            fresh = [i for i, r in enumerate(mo) if r not in col]
+            extend: dict = {}
+            for key in image:
+                extend.setdefault(tuple(key[i] for i in shared), []).append(
+                    tuple(key[i] for i in fresh)
+                )
+            at = [col[mo[i]] for i in shared]
+            rows = [
+                row + tail
+                for row in rows
+                for tail in extend.get(tuple(row[i] for i in at), ())
+            ]
+            bound += [mo[i] for i in fresh]
+        order = [bound.index(p) for p in pts]
+        return sorted(tuple(row[i] for i in order) for row in rows)
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
@@ -239,11 +307,7 @@ class AffineScheme:
         q = quotient(self.spectrum.object.carrier, rad)
         images = set()
         injective = True
-        for ci in range(q.table.order):
-            h = next(
-                x for x in range(self.spectrum.object.carrier.order)
-                if q.projection(x) == ci
-            )
+        for h in q.reps:
             s = self.section_from_element(mo, h)
             idx = group.index_of(s)
             if idx in images:
@@ -273,6 +337,8 @@ class GluingIso:
 
 def identity_gluing_iso(X1: AffineScheme, X2: AffineScheme, U1: frozenset, U2: frozenset) -> GluingIso:
     """The identity identification of equal opens in equal spectra."""
+    if not (isinstance(X1, AffineScheme) and isinstance(X2, AffineScheme)):
+        raise SheafError("identity gluing needs two affine schemes")
     s1, s2 = X1.spectrum, X2.spectrum
     if (
         s1.object.carrier is not s2.object.carrier
@@ -296,7 +362,7 @@ class GluedScheme:
     its traces are open (the quotient topology).
     """
 
-    def __init__(self, X1, X2, U1: frozenset, U2: frozenset, iso: GluingIso):
+    def __init__(self, X1: Scheme, X2: Scheme, U1: frozenset, U2: frozenset, iso: GluingIso):
         self.X1, self.X2 = X1, X2
         self.U1, self.U2 = frozenset(U1), frozenset(U2)
         self.iso = iso
@@ -310,7 +376,7 @@ class GluedScheme:
             [("L", p) for p in X1.points]
             + [("R", q) for q in X2.points if q not in self._inv]
         )
-        self._opens: Optional[list[frozenset]] = None
+        self._minimal_opens: dict = {}
         self._sections: dict[frozenset, SectionGroup] = {}
         self._verify_iso()
 
@@ -328,7 +394,7 @@ class GluedScheme:
         for W in opens2:
             if frozenset(self._inv[q] for q in W) not in opens1:
                 raise SheafError("gluing map is not continuous")
-        for W in sorted(opens1, key=lambda w: (len(w), repr(sorted(w, key=repr)))):
+        for W in sorted(opens1, key=_open_order):
             G1 = self.X1.section_group(self._extend_open(self.X1, W))
             # transported sections must be exactly the sections on the image
             img = frozenset(pm[p] for p in W)
@@ -337,8 +403,8 @@ class GluedScheme:
             seen = set()
             for s in G1.elements:
                 t = self.iso.transport(self.X1.restrict(s, W))
-                t_full = self._lift_exact(self.X2, t, img)
-                if t_full is None:
+                vals = dict(t.values)
+                if set(vals) != img or self.X2._valid_values(img, vals) is None:
                     raise SheafError("transported section is not a section")
                 seen.add(t.values)
             expect = {self.X2.restrict(t, img).values for t in G2.elements}
@@ -354,17 +420,6 @@ class GluedScheme:
             acc |= X.minimal_open(p)
         return acc
 
-    @staticmethod
-    def _lift_exact(X, s: SchemeSection, W: frozenset):
-        """s if it is a genuine section of X over W, else None."""
-        vals = dict(s.values)
-        if set(vals) != set(W):
-            return None
-        got = X._valid_values(frozenset(W), vals) if hasattr(X, "_valid_values") else None
-        if got is None:
-            return None
-        return SchemeSection(frozenset(W), _mkvalues(vals), got)
-
     # -- topology ----------------------------------------------------------
 
     def _trace(self, W: frozenset) -> tuple[frozenset, frozenset]:
@@ -376,30 +431,40 @@ class GluedScheme:
         )
         return left, right
 
+    @cached_property
+    def _opens(self) -> list[frozenset]:
+        """Each open glues its two traces: an open O1 of X1 and an open O2
+        of X2 with pm(O1 & U1) == O2 & U2.  So chart opens are paired by
+        their traces instead of testing every subset of points."""
+        pm = self.iso.point_map
+        by_trace: dict = {}
+        for O2 in self.X2.opens():
+            by_trace.setdefault(O2 & self.U2, []).append(O2)
+        out = []
+        for O1 in self.X1.opens():
+            left = [("L", p) for p in O1]
+            for O2 in by_trace.get(frozenset(pm[p] for p in O1 & self.U1), ()):
+                out.append(frozenset(left + [("R", q) for q in O2 - self.U2]))
+        return sorted(out, key=_open_order)
+
+    @cached_property
+    def _open_set(self) -> frozenset:
+        return frozenset(self._opens)
+
     def opens(self) -> list[frozenset]:
-        if self._opens is None:
-            o1 = set(self.X1.opens())
-            o2 = set(self.X2.opens())
-            out = set()
-            for W in itertools.chain.from_iterable(
-                itertools.combinations(self.points, r) for r in range(len(self.points) + 1)
-            ):
-                W = frozenset(W)
-                l, r = self._trace(W)
-                if l in o1 and r in o2:
-                    out.add(W)
-            self._opens = sorted(out, key=lambda w: (len(w), repr(sorted(w, key=repr))))
         return self._opens
 
     def is_open(self, W: Iterable) -> bool:
-        return frozenset(W) in set(self.opens())
+        return frozenset(W) in self._open_set
 
     def minimal_open(self, point) -> frozenset:
-        acc = frozenset(self.points)
-        for W in self.opens():
-            if point in W:
-                acc &= W
-        return acc
+        if point not in self._minimal_opens:
+            acc = frozenset(self.points)
+            for W in self._opens:
+                if point in W:
+                    acc &= W
+            self._minimal_opens[point] = acc
+        return self._minimal_opens[point]
 
     # -- sections ----------------------------------------------------------
 
@@ -407,13 +472,25 @@ class GluedScheme:
         return s.certificates["left"], s.certificates["right"]
 
     def _assemble(self, W: frozenset, s1: SchemeSection, s2: SchemeSection) -> SchemeSection:
-        vals = {}
-        for side, p in W:
-            if side == "L":
-                vals[("L", p)] = s1.value_at(p)
-            else:
-                vals[("R", p)] = s2.value_at(p)
+        left, right = dict(s1.values), dict(s2.values)
+        vals = {pt: (left if pt[0] == "L" else right)[pt[1]] for pt in W}
         return SchemeSection(W, _mkvalues(vals), {"left": s1, "right": s2})
+
+    def _valid_values(self, W: frozenset, vals: dict) -> Optional[dict]:
+        """The two chart sections behind vals on the open W, or None."""
+        l, r = self._trace(W)
+        left = {p: vals[("L", p)] for p in l}
+        certs = self.X1._valid_values(l, left)
+        if certs is None:
+            return None
+        s1 = SchemeSection(l, _mkvalues(left), certs)
+        shared = frozenset(p for p in l if p in self.iso.point_map)
+        right = dict(self.iso.transport(self.X1.restrict(s1, shared)).values)
+        right.update((q, v) for (side, q), v in vals.items() if side == "R")
+        certs = self.X2._valid_values(r, right) if set(right) == r else None
+        if certs is None:
+            return None
+        return {"left": s1, "right": SchemeSection(r, _mkvalues(right), certs)}
 
     def section_group(self, W: Iterable) -> SectionGroup:
         W = frozenset(W)
@@ -424,18 +501,15 @@ class GluedScheme:
             G1 = self.X1.section_group(l)
             G2 = self.X2.section_group(r)
             shared = frozenset(p for p in l if p in self.iso.point_map)
+            img = frozenset(self.iso.point_map[p] for p in shared)
+            # hash join on the values over the identified points
+            by_shared: dict = {}
+            for s2 in G2.elements:
+                by_shared.setdefault(self.X2.restrict(s2, img).values, []).append(s2)
             out = []
             for s1 in G1.elements:
-                t = (
-                    self.iso.transport(self.X1.restrict(s1, shared))
-                    if shared
-                    else None
-                )
-                for s2 in G2.elements:
-                    if shared:
-                        img = frozenset(self.iso.point_map[p] for p in shared)
-                        if self.X2.restrict(s2, img).values != t.values:
-                            continue
+                t = self.iso.transport(self.X1.restrict(s1, shared))
+                for s2 in by_shared.get(t.values, ()):
                     out.append(self._assemble(W, s1, s2))
             self._sections[W] = SectionGroup(self, W, out)
         return self._sections[W]
@@ -459,9 +533,6 @@ class GluedScheme:
             self.X1.constant_section(l, g),
             self.X2.constant_section(r, g),
         )
-
-    def section_value(self, s: SchemeSection, point):
-        return s.value_at(point)
 
     def stalk(self, point) -> tuple[SectionGroup, dict]:
         _check_point(self, point)
@@ -583,9 +654,8 @@ def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise")
         vals, certs = {}, {}
         for p in W:
             q = pm[p]
-            h = s.certificates[q]
-            certs[p] = f(h)
-            vals[p] = X.point_quotient(p).projection(f(h))
+            certs[p] = h = f(s.certificates[q])
+            vals[p] = X.point_quotient(p).projection(h)
         return SchemeSection(W, _mkvalues(vals), certs)
 
     m = SchemeMorphism(X, Y, pm, pullback, algebraic=f)
@@ -700,10 +770,7 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
         return {"hypothesis": hypothesis, "isomorphic": len(G) == 1,
                 "sections": len(G), "quotient_order": 1}
     q = quotient(H, rad)
-    images = set()
-    for ci in range(q.table.order):
-        h = next(x for x in range(H.order) if q.projection(x) == ci)
-        images.add(G.index_of(X.section_from_element(whole, h)))
+    images = {G.index_of(X.section_from_element(whole, h)) for h in q.reps}
     return {
         "hypothesis": hypothesis,
         "isomorphic": len(images) == q.table.order == len(G),
@@ -770,8 +837,8 @@ def noetherian_sections(spec: Spectrum) -> dict:
     for combo in itertools.product(*[range(q.table.order) for q in quots]):
         ok = True
         for (j, k), pq in pair_quots.items():
-            hj = next(x for x in range(H.order) if quots[j].projection(x) == combo[j])
-            hk = next(x for x in range(H.order) if quots[k].projection(x) == combo[k])
+            hj = quots[j].reps[combo[j]]
+            hk = quots[k].reps[combo[k]]
             if pq.projection(hj) != pq.projection(hk):
                 ok = False
                 break
@@ -821,9 +888,11 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
     if rad.is_trivial():
         A = Hobj
         proj = Homomorphism.identity(Hobj.carrier)
+        lift = range(Hobj.carrier.order)
     else:
         A, q = quotient_object(Hobj, rad)
         proj = q.projection
+        lift = q.reps
     whole_X = frozenset(X.points)
     B = X.section_group(whole_X).as_ggroup()
     homs = enumerate_g_morphisms(A, B)
@@ -834,8 +903,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
         whole_Y = frozenset(Y.points)
         image = []
         for a in range(A.carrier.order):
-            h = next(x for x in range(Hobj.carrier.order) if proj(x) == a)
-            s = Y.section_from_element(whole_Y, h)
+            s = Y.section_from_element(whole_Y, lift[a])
             image.append(GX.index_of(m.pullback(s)))
         for i, v in enumerate(homs):
             if list(v.map.image) == image:
@@ -871,11 +939,11 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
             for p in W:
                 h = s.certificates[pm[p]]
                 vals[p] = GX.elements[v(proj(h))].value_at(p)
-            target_vals = _mkvalues(vals)
-            for t in X.section_group(W).elements:
-                if t.values == target_vals:
-                    return t
-            raise SheafError("rebuilt pullback is not a section")
+            GW = X.section_group(W)
+            i = GW._index.get(_mkvalues(vals))
+            if i is None:
+                raise SheafError("rebuilt pullback is not a section")
+            return GW.elements[i]
 
         m = SchemeMorphism(X, Y, pm, pullback, algebraic=None)
         m.verify()

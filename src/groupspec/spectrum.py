@@ -136,7 +136,9 @@ class Spectrum:
         return self._caches["open"]
 
     def is_open(self, U: Iterable[int]) -> bool:
-        return frozenset(U) in set(self.open_sets())
+        if "open_set" not in self._caches:
+            self._caches["open_set"] = frozenset(self.open_sets())
+        return frozenset(U) in self._caches["open_set"]
 
     def minimal_open(self, p: int) -> frozenset:
         """Intersection of all opens containing prime #p (finite space)."""

@@ -7,10 +7,13 @@ pair of spans outside the candidate ideal.  Repeated closures of the
 same generating set are memoized; nothing else is shared.
 """
 
+import itertools
+
 import numpy as np
 
 from groupspec import freeprod as fp
 from groupspec.fingroup import GroupTable
+from groupspec.sheaf import GluedScheme
 
 
 def _all(G: GroupTable) -> np.ndarray:
@@ -172,3 +175,72 @@ def naive_divisor_witness(ctx, x, variant: str, max_len: int):
                     "y_order": y_cyc[1],
                 }
     return None
+
+
+def naive_cosets(G: GroupTable, N) -> tuple[list[int], list[int]]:
+    """(coset index of every element, least member of every coset) for
+    G/N, cosets numbered by their least member."""
+    least = [min(int(G.mul[g, n]) for n in N) for g in range(G.order)]
+    reps = sorted(set(least))
+    number = {r: i for i, r in enumerate(reps)}
+    return [number[x] for x in least], reps
+
+
+def naive_section_group(scheme, U) -> list[tuple]:
+    """Sections over the open U as (values, certificates), in the library's
+    element order.  Points, primes and opens come from the scheme; cosets,
+    minimal opens and certificates are recomputed here.
+
+    Affine: every value tuple in the full product over sorted(U) is tried;
+    it is a section iff every point p has an element of its coset that
+    realizes the tuple on minopen(p), and p's certificate is the first such
+    element rep * m, m running over P_p's sorted members.  Glued (identity
+    gluing): pairs of chart sections, left outer, that agree on the glued
+    points; a certificate is {"left": ..., "right": ...} of the two charts'
+    (values, certificates).
+    """
+    U = frozenset(U)
+    if isinstance(scheme, GluedScheme):
+        return _naive_glued_sections(scheme, U)
+    H = scheme.spectrum.object.carrier
+    primes = [P.members.members for P in scheme.spectrum.primes]
+    cosets = {p: naive_cosets(H, primes[p]) for p in U}
+    opens = scheme.opens()
+    minopen = {p: frozenset.intersection(*[V for V in opens if p in V]) for p in U}
+    pts = sorted(U)
+    out = []
+    for combo in itertools.product(*[range(len(cosets[p][1])) for p in pts]):
+        vals = dict(zip(pts, combo))
+        certs = {}
+        for p in pts:
+            rep = cosets[p][1][vals[p]]
+            realizers = (int(H.mul[rep, m]) for m in primes[p])
+            hit = next(
+                (h for h in realizers if all(cosets[r][0][h] == vals[r] for r in minopen[p])),
+                None,
+            )
+            if hit is None:
+                break
+            certs[p] = hit
+        else:
+            out.append((tuple(sorted(vals.items(), key=lambda kv: repr(kv[0]))), certs))
+    return out
+
+
+def _naive_glued_sections(D, W: frozenset) -> list[tuple]:
+    pm = D.iso.point_map
+    left = frozenset(p for side, p in W if side == "L")
+    right = frozenset(q for side, q in W if side == "R") | {pm[p] for p in left if p in pm}
+    out = []
+    for v1, c1 in naive_section_group(D.X1, left):
+        a = dict(v1)
+        for v2, c2 in naive_section_group(D.X2, right):
+            b = dict(v2)
+            if any(a[p] != b[pm[p]] for p in left if p in pm):
+                continue
+            vals = {pt: (a if pt[0] == "L" else b)[pt[1]] for pt in W}
+            out.append((
+                tuple(sorted(vals.items(), key=lambda kv: repr(kv[0]))),
+                {"left": (v1, c1), "right": (v2, c2)},
+            ))
+    return out

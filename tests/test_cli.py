@@ -159,3 +159,22 @@ def test_run_stalk_at_missing_point_exit_2(tmp_path):
     assert code == 2
     _assert_one_line(err)
     assert "no point 9" in err
+
+
+def test_run_stalk_past_glued_points_exit_2(tmp_path):
+    code, err = _run_program_process(
+        "group S5 = sym(5)\nspec S5 --variant t2 as S\nglue S 0 S 0 as D\nstalk D 3\n", tmp_path
+    )
+    assert code == 2
+    _assert_one_line(err)
+    assert "no point 3" in err
+
+
+def test_run_identity_glue_of_glued_scheme_exit_2(tmp_path):
+    code, err = _run_program_process(
+        "group S5 = sym(5)\nspec S5 --variant t2 as S\nglue S 0 S 0 as D\nglue D whole S whole\n",
+        tmp_path,
+    )
+    assert code == 2
+    _assert_one_line(err)
+    assert "identity gluing needs two affine schemes" in err

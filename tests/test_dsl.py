@@ -137,3 +137,17 @@ def test_open_set_literals_are_one_token():
     )
     assert interp.outputs[2] == "sections S over [0, 1]: group of order 120"
     assert interp.outputs[3].startswith("glued scheme: 2 points")
+
+
+def test_stalk_on_glued_scheme_takes_a_point_index():
+    interp = run_program(
+        "group S5 = sym(5)\n"
+        "spec S5 --variant t2 as S\n"
+        "glue S 0 S 0 as D\n"
+        "stalk D 2 as T\n"
+    )
+    # point #2 of the doubled-point scheme is ("R", 1), the second closed point
+    assert interp.outputs[3] == (
+        "stalk D at #2: order 120, quotient comparison surjective=True injective=True"
+    )
+    assert interp.env["T"].open_set == frozenset({("L", 0), ("R", 1)})

@@ -175,3 +175,11 @@ def test_normal_closure_minimality(gens):
     for M in naive_normal_subgroups(G):
         if gens <= M:
             assert N <= M
+
+
+def test_homomorphism_rejects_out_of_range_images():
+    S3 = symmetric(3)
+    with pytest.raises(GroupError, match="image 9 out of range for S3 \\(order 6\\)"):
+        Homomorphism(S3, S3, [0, 1, 2, 3, 4, 9])
+    with pytest.raises(GroupError, match="image -1 out of range"):
+        Homomorphism(S3, cyclic(2), [0, -1, 0, 1, 1, 0])

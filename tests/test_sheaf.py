@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from groupspec.catalog import small_catalog
 from groupspec.fingroup import (
     Homomorphism,
     alternating,
@@ -14,6 +17,8 @@ from groupspec.gobject import GGroup, GMorphism, identity_object
 from groupspec.spectrum import Ideal, quotient_object, spectrum
 from groupspec.sheaf import (
     AffineScheme,
+    Scheme,
+    SchemeSection,
     SheafError,
     check_sheaf_axioms,
     embed_quotient,
@@ -26,6 +31,8 @@ from groupspec.sheaf import (
     scheme_hom_correspondence,
 )
 
+from oracles import naive_section_group
+
 S5 = symmetric(5)
 A5 = alternating(5)
 Z2 = cyclic(2)
@@ -33,6 +40,74 @@ Z2 = cyclic(2)
 
 def _s5_scheme():
     return AffineScheme(spectrum(identity_object(S5, "S5"), "t2"))
+
+
+def _glued_examples():
+    """The gluings exercised below: a doubled point, a whole-space gluing
+    and a disjoint union."""
+    a5 = AffineScheme(spectrum(identity_object(A5, "A5"), "t1"))
+    return [
+        glue(_s5_scheme(), _s5_scheme(), frozenset({0}), frozenset({0})),
+        glue(_s5_scheme(), _s5_scheme(), frozenset({0, 1}), frozenset({0, 1})),
+        glue(a5, a5, frozenset(), frozenset()),
+    ]
+
+
+def _rows(group):
+    """(values, certificates) of every element, chart sections unpacked."""
+    def certs(c):
+        return {
+            k: (v.values, certs(v.certificates)) if isinstance(v, SchemeSection) else v
+            for k, v in c.items()
+        }
+
+    return [(s.values, certs(s.certificates)) for s in group.elements]
+
+
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+@pytest.mark.parametrize("prime_def", ["elementwise", "quotient"])
+def test_section_groups_match_naive_oracle(variant, prime_def):
+    for name, obj in small_catalog():
+        X = AffineScheme(spectrum(obj, variant, prime_def))
+        for U in X.opens():
+            G, want = X.section_group(U), naive_section_group(X, U)
+            assert [s.values for s in G.elements] == [v for v, _ in want], (name, sorted(U))
+            assert _rows(G) == want, (name, sorted(U))
+
+
+def test_glued_section_groups_match_naive_oracle():
+    for D in _glued_examples():
+        assert isinstance(D, Scheme) and isinstance(D.X1, Scheme)
+        for W in D.opens():
+            G, want = D.section_group(W), naive_section_group(D, W)
+            assert [s.values for s in G.elements] == [v for v, _ in want], sorted(W, key=repr)
+            assert _rows(G) == want, sorted(W, key=repr)
+            for s in G.elements:
+                got = D._valid_values(W, dict(s.values))
+                assert got is not None
+                assert (got["left"].values, got["right"].values) == (
+                    s.certificates["left"].values, s.certificates["right"].values
+                )
+
+
+def test_glued_opens_match_subset_enumeration():
+    for D in _glued_examples():
+        opens1, opens2 = set(D.X1.opens()), set(D.X2.opens())
+        pm = D.iso.point_map
+        brute = []
+        for r in range(len(D.points) + 1):
+            for W in itertools.combinations(D.points, r):
+                left = frozenset(p for side, p in W if side == "L")
+                right = frozenset(q for side, q in W if side == "R") | {
+                    pm[p] for p in left if p in pm
+                }
+                if left in opens1 and right in opens2:
+                    brute.append(frozenset(W))
+                assert D.is_open(W) == (left in opens1 and right in opens2)
+        brute.sort(key=lambda w: (len(w), repr(sorted(w, key=repr))))
+        assert D.opens() == brute
+        for pt in D.points:
+            assert D.minimal_open(pt) == frozenset.intersection(*[W for W in brute if pt in W])
 
 
 def test_global_sections_of_s5():
