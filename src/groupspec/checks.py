@@ -644,8 +644,7 @@ def suite_prop5_2(cat: str) -> list[dict]:
     instances.append(("Z2,identity", GMorphism(oZ2, oZ2, Homomorphism.identity(Z2)), "t2"))
     for label, f, variant in instances:
         try:
-            m = induced_morphism(f, variant)
-            m.verify()
+            m = induced_morphism(f, variant)  # verified on construction
             out.append(_rec("prop5.2", label, "pass",
                             f"points {m.point_map}; continuity, squares, localness verified", cat))
         except SheafError as e:

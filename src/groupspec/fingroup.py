@@ -26,6 +26,7 @@ __all__ = [
     "quotient",
     "is_nilpotent",
     "normal_subgroups",
+    "pointwise_table",
     "is_simple",
     "cyclic",
     "symmetric",
@@ -83,7 +84,6 @@ class GroupTable:
             validate = n <= 256
         if validate:
             self._check_associative()
-        self._span_cache: dict = {}
         self._conj_class_cache: Optional[list] = None
 
     def _find_identity(self) -> int:
@@ -189,26 +189,25 @@ class GroupTable:
                 break
         return Subgroup(self, np.flatnonzero(member))
 
+    def conjugation_orbits(self, by: Iterable[int]) -> tuple[list[np.ndarray], np.ndarray]:
+        """Orbits of conjugation by the subgroup ``by`` (sorted arrays, by
+        least member) and each element's orbit number; one sweep per orbit."""
+        by = np.unique(np.asarray(list(by), dtype=np.int64))
+        orbit_of = np.full(self.order, -1, dtype=np.int64)
+        orbits = []
+        for x in range(self.order):
+            if orbit_of[x] >= 0:
+                continue
+            orb = np.unique(self.mul[self.mul[by, x], self.inv[by]])
+            orbit_of[orb] = len(orbits)
+            orbits.append(orb)
+        return orbits, orbit_of
+
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Conjugacy classes as sorted index arrays, ordered by least member."""
         if self._conj_class_cache is None:
-            seen = np.zeros(self.order, dtype=bool)
-            classes = []
-            allg = np.arange(self.order)
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                cls = np.unique(self.mul[self.mul[allg, x], self.inv[allg]])
-                seen[cls] = True
-                classes.append(cls)
-            self._conj_class_cache = classes
+            self._conj_class_cache = self.conjugation_orbits(range(self.order))[0]
         return self._conj_class_cache
-
-    def conjugacy_class_of(self, x: int) -> np.ndarray:
-        for cls in self.conjugacy_classes():
-            if x in cls:
-                return cls
-        raise GroupError(f"element {x} out of range")
 
 
 @dataclass(frozen=True)
@@ -280,12 +279,6 @@ class Subgroup:
             raise GroupError("subgroups of different parents")
         return Subgroup(self.parent, np.flatnonzero(self._mask & other._mask))
 
-    def is_abelian(self) -> bool:
-        m = np.asarray(self.members)
-        return bool(
-            np.array_equal(self.parent.mul[np.ix_(m, m)], self.parent.mul[np.ix_(m, m)].T)
-        )
-
 
 @dataclass(frozen=True)
 class Homomorphism:
@@ -325,9 +318,6 @@ class Homomorphism:
     def kernel(self) -> Subgroup:
         img = np.asarray(self.image)
         return Subgroup(self.source, np.flatnonzero(img == self.target.id))
-
-    def image_subgroup(self) -> Subgroup:
-        return self.target.generated_subgroup(set(self.image))
 
     def compose(self, outer: "Homomorphism") -> "Homomorphism":
         """outer o self (apply self first)."""
@@ -444,6 +434,42 @@ def normal_subgroups(H: GroupTable) -> tuple[Subgroup, ...]:
                     nxt.append(M)
         frontier = nxt
     return tuple(sorted(found.values(), key=lambda s: (len(s), s.members)))
+
+
+def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Cayley table of distinct tuples under the pointwise product.
+
+    Column c of ``rows`` multiplies in ``factors[c]``.  Each product row is
+    looked up among ``rows``, so a product that is not a row raises
+    GroupError: closure is checked exactly.  One left factor at a time, so
+    the extra memory is O(n*k), never an n*n*k array.
+    """
+    n, k = len(rows), len(factors)
+    if k == 0:  # the one empty row
+        return np.zeros((n, n), dtype=np.int64)
+    R = np.asarray(rows, dtype=np.int64)
+    # each distinct factor table flattened once; a*b in column c is at
+    # flat[off[c] + a * order_c + b]
+    distinct = {id(t): t for t in factors}
+    start = dict(zip(distinct, np.cumsum([0] + [t.order ** 2 for t in distinct.values()])))
+    flat = np.concatenate([t.mul.ravel() for t in distinct.values()]).astype(np.int64)
+    off = np.asarray([start[id(t)] for t in factors])
+    left = off + R * np.asarray([t.order for t in factors])
+
+    def keys(a: np.ndarray) -> np.ndarray:  # one opaque key per row
+        return np.ascontiguousarray(a).view(np.dtype((np.void, 8 * k))).ravel()
+
+    row_keys = keys(R)
+    order = np.argsort(row_keys)
+    sorted_keys = row_keys[order]
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        want = keys(flat[left[i] + R])
+        pos = np.minimum(np.searchsorted(sorted_keys, want), n - 1)
+        if not (sorted_keys[pos] == want).all():
+            raise GroupError("pointwise product is not a row")
+        table[i] = order[pos]
+    return table
 
 
 def is_simple(H: GroupTable) -> bool:

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .fingroup import (
     GroupError,
     GroupTable,
@@ -47,25 +45,16 @@ class GGroup:
     # -- spans -------------------------------------------------------------
 
     def g_span(self, x: int) -> Subgroup:
-        """Subgroup of the carrier generated by the f(g)-conjugates of x."""
+        """Subgroup of the carrier generated by the f(g)-conjugates of x,
+        i.e. by x's orbit under conjugation by f(G): one closure per orbit."""
         cache = self._caches.setdefault("span", {})
         if x not in cache:
-            H = self.carrier
-            if "surjective" not in self._caches:
-                self._caches["surjective"] = self.structure.is_surjective()
-            if self._caches["surjective"]:
-                # the span is the normal closure, which only depends on the
-                # conjugacy class of x
-                cls = H.conjugacy_class_of(x)
-                key = ("cls", int(cls[0]))
-                if key not in cache:
-                    cache[key] = self._intern(H.generated_subgroup(cls))
-                span = cache[key]
-            else:
-                imgs = np.unique(np.asarray(self.structure.image))
-                gens = np.unique(H.mul[H.mul[imgs, x], H.inv[imgs]])
-                span = self._intern(H.generated_subgroup(gens))
-            cache[x] = span
+            if "orbits" not in self._caches:
+                self._caches["orbits"] = self.carrier.conjugation_orbits(self.structure.image)
+            orbits, orbit_of = self._caches["orbits"]
+            orbit = orbits[orbit_of[x]]
+            span = self._intern(self.carrier.generated_subgroup(orbit))
+            cache.update(dict.fromkeys(orbit.tolist(), span))
         return cache[x]
 
     def _intern(self, sub: Subgroup) -> Subgroup:

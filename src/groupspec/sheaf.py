@@ -2,6 +2,7 @@
 
 Sections are value maps P -> coset in H/P that admit, for every point, a
 single carrier element realizing the values on the point's minimal open.
+A section is stored as a row: its coset indices in sorted point order.
 Minimal opens replace arbitrary covers: in a finite space every open cover
 refines to the minimal-open cover, so the two locality conditions agree.
 """
@@ -19,6 +20,7 @@ from .fingroup import (
     Homomorphism,
     QuotientGroup,
     Subgroup,
+    pointwise_table,
     quotient,
     subgroup_product,
 )
@@ -61,17 +63,16 @@ class SheafError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeSection:
-    """A section: per-point value tokens plus per-point realizing elements."""
+    """A section: its row of coset indices plus per-point realizing elements."""
 
     open_set: frozenset
-    values: tuple  # sorted tuple of (point, token)
+    values: tuple  # coset index of each point of sorted(open_set)
     certificates: dict = field(compare=False, repr=False, default_factory=dict)
 
     def value_at(self, point):
-        for p, v in self.values:
-            if p == point:
-                return v
-        raise SheafError(f"point {point!r} not in the section domain")
+        if point not in self.open_set:
+            raise SheafError(f"point {point!r} not in the section domain")
+        return self.values[sorted(self.open_set).index(point)]
 
 
 @runtime_checkable
@@ -89,8 +90,8 @@ class Scheme(Protocol):
     def opens(self) -> list[frozenset]: ...
     def is_open(self, U: Iterable) -> bool: ...
     def minimal_open(self, p) -> frozenset: ...
+    def point_quotient(self, p) -> QuotientGroup: ...
     def section_group(self, U: Iterable) -> "SectionGroup": ...
-    def mul_sections(self, s: SchemeSection, t: SchemeSection) -> SchemeSection: ...
     def restrict(self, s: SchemeSection, U: frozenset) -> SchemeSection: ...
     def constant_section(self, U: frozenset, g: int) -> SchemeSection: ...
     def stalk(self, p) -> tuple["SectionGroup", dict]: ...
@@ -98,13 +99,13 @@ class Scheme(Protocol):
     def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]: ...
 
 
+def _value_map(s: SchemeSection) -> dict:
+    return dict(zip(sorted(s.open_set), s.values))
+
+
 def _check_point(scheme, point) -> None:
     if point not in scheme.points:
         raise SheafError(f"no point {point!r}: {scheme.label()} has {len(scheme.points)} points")
-
-
-def _mkvalues(mapping: dict) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
 
 
 def _open_order(w: frozenset) -> tuple:
@@ -130,9 +131,6 @@ class SectionGroup:
         except KeyError:
             raise SheafError("section does not belong to this group") from None
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.index_of(self.scheme.mul_sections(self.elements[i], self.elements[j]))
-
     def constant_index(self, g: int) -> int:
         return self.index_of(self.scheme.constant_section(self.open_set, g))
 
@@ -142,7 +140,11 @@ class SectionGroup:
             n = len(self.elements)
             if n > cap:
                 raise SheafError(f"section group of order {n} exceeds table cap {cap}")
-            mul = [[self.multiply(i, j) for j in range(n)] for i in range(n)]
+            factors = [self.scheme.point_quotient(p).table for p in sorted(self.open_set)]
+            try:
+                mul = pointwise_table(factors, [s.values for s in self.elements])
+            except GroupError:
+                raise SheafError("product of sections is not a section") from None
             table = GroupTable(mul, name=f"O({len(self.open_set)}pts)", validate=False)
             G = self.scheme.base
             structure = Homomorphism(G, table, [self.constant_index(g) for g in range(G.order)])
@@ -221,25 +223,13 @@ class AffineScheme:
         return self.section_from_element(U, h)
 
     def section_from_element(self, U: frozenset, h: int) -> SchemeSection:
-        vals = {p: self.point_quotient(p).projection(h) for p in U}
-        return SchemeSection(frozenset(U), _mkvalues(vals), {p: h for p in U})
-
-    def mul_sections(self, s: SchemeSection, t: SchemeSection) -> SchemeSection:
-        if s.open_set != t.open_set:
-            raise SheafError("sections over different opens")
-        values = tuple(
-            (p, self.point_quotient(p).table.op(a, b))
-            for (p, a), (_, b) in zip(s.values, t.values)
-        )
-        certs = self._valid_values(s.open_set, dict(values))
-        if certs is None:
-            raise SheafError("product of sections is not a section")
-        return SchemeSection(s.open_set, values, certs)
+        row = tuple(self.point_quotient(p).projection(h) for p in sorted(U))
+        return SchemeSection(frozenset(U), row, {p: h for p in U})
 
     def restrict(self, s: SchemeSection, U2: frozenset) -> SchemeSection:
         if not U2 <= s.open_set:
             raise SheafError("restriction to a non-subset")
-        values = tuple((p, v) for p, v in s.values if p in U2)
+        values = tuple(v for p, v in zip(sorted(s.open_set), s.values) if p in U2)
         certs = {p: h for p, h in s.certificates.items() if p in U2}
         return SchemeSection(frozenset(U2), values, certs)
 
@@ -260,12 +250,10 @@ class AffineScheme:
             if not self.is_open(U):
                 raise SheafError(f"{sorted(U)} is not open")
             pts = sorted(U)
-            listed = sorted(pts, key=repr)  # the point order of section values
-            out = []
-            for row in self._join(pts):
-                vals = dict(zip(pts, row))
-                values = tuple((p, vals[p]) for p in listed)
-                out.append(SchemeSection(U, values, self._valid_values(U, vals)))
+            out = [
+                SchemeSection(U, row, self._valid_values(U, dict(zip(pts, row))))
+                for row in self._join(pts)
+            ]
             self._sections[U] = SectionGroup(self, U, out)
         return self._sections[U]
 
@@ -403,8 +391,7 @@ class GluedScheme:
             seen = set()
             for s in G1.elements:
                 t = self.iso.transport(self.X1.restrict(s, W))
-                vals = dict(t.values)
-                if set(vals) != img or self.X2._valid_values(img, vals) is None:
+                if t.open_set != img or self.X2._valid_values(img, _value_map(t)) is None:
                     raise SheafError("transported section is not a section")
                 seen.add(t.values)
             expect = {self.X2.restrict(t, img).values for t in G2.elements}
@@ -468,13 +455,14 @@ class GluedScheme:
 
     # -- sections ----------------------------------------------------------
 
-    def _parts(self, s: SchemeSection) -> tuple[SchemeSection, SchemeSection]:
-        return s.certificates["left"], s.certificates["right"]
+    def point_quotient(self, point) -> QuotientGroup:
+        side, p = point
+        return (self.X1 if side == "L" else self.X2).point_quotient(p)
 
     def _assemble(self, W: frozenset, s1: SchemeSection, s2: SchemeSection) -> SchemeSection:
-        left, right = dict(s1.values), dict(s2.values)
-        vals = {pt: (left if pt[0] == "L" else right)[pt[1]] for pt in W}
-        return SchemeSection(W, _mkvalues(vals), {"left": s1, "right": s2})
+        left, right = _value_map(s1), _value_map(s2)
+        row = tuple((left if side == "L" else right)[p] for side, p in sorted(W))
+        return SchemeSection(W, row, {"left": s1, "right": s2})
 
     def _valid_values(self, W: frozenset, vals: dict) -> Optional[dict]:
         """The two chart sections behind vals on the open W, or None."""
@@ -483,14 +471,14 @@ class GluedScheme:
         certs = self.X1._valid_values(l, left)
         if certs is None:
             return None
-        s1 = SchemeSection(l, _mkvalues(left), certs)
+        s1 = SchemeSection(l, tuple(left[p] for p in sorted(l)), certs)
         shared = frozenset(p for p in l if p in self.iso.point_map)
-        right = dict(self.iso.transport(self.X1.restrict(s1, shared)).values)
+        right = _value_map(self.iso.transport(self.X1.restrict(s1, shared)))
         right.update((q, v) for (side, q), v in vals.items() if side == "R")
         certs = self.X2._valid_values(r, right) if set(right) == r else None
         if certs is None:
             return None
-        return {"left": s1, "right": SchemeSection(r, _mkvalues(right), certs)}
+        return {"left": s1, "right": SchemeSection(r, tuple(right[q] for q in sorted(r)), certs)}
 
     def section_group(self, W: Iterable) -> SectionGroup:
         W = frozenset(W)
@@ -514,16 +502,9 @@ class GluedScheme:
             self._sections[W] = SectionGroup(self, W, out)
         return self._sections[W]
 
-    def mul_sections(self, s: SchemeSection, t: SchemeSection) -> SchemeSection:
-        s1, s2 = self._parts(s)
-        t1, t2 = self._parts(t)
-        return self._assemble(
-            s.open_set, self.X1.mul_sections(s1, t1), self.X2.mul_sections(s2, t2)
-        )
-
     def restrict(self, s: SchemeSection, W2: frozenset) -> SchemeSection:
-        s1, s2 = self._parts(s)
         l, r = self._trace(frozenset(W2))
+        s1, s2 = s.certificates["left"], s.certificates["right"]
         return self._assemble(frozenset(W2), self.X1.restrict(s1, l), self.X2.restrict(s2, r))
 
     def constant_section(self, W: frozenset, g: int) -> SchemeSection:
@@ -581,25 +562,26 @@ class SchemeMorphism:
         return frozenset(p for p, q in self.point_map.items() if q in U)
 
     def verify(self) -> dict:
-        """Continuity, commuting restriction squares, and localness."""
-        for U in self.target.opens():
+        """Continuity, commuting restriction squares, and localness; each
+        section of G(U) is pulled back once, for every square below U."""
+        opens = self.target.opens()
+        for U in opens:
             if not self.source.is_open(self.preimage(U)):
                 raise SheafError("geometric map is not continuous")
-        for U in self.target.opens():
+        for U in opens:
             GU = self.target.section_group(U)
-            W = self.preimage(U)
-            GW = self.source.section_group(W)
-            for V in self.target.opens():
+            GW = self.source.section_group(self.preimage(U))
+            pulled = [self.pullback(s) for s in GU.elements]
+            for V in opens:
                 if not V < U:
                     continue
                 WV = self.preimage(V)
-                for s in GU.elements:
+                for s, t in zip(GU.elements, pulled):
                     down = self.pullback(self.target.restrict(s, V))
-                    across = self.source.restrict(self.pullback(s), WV)
-                    if down.values != across.values:
+                    if down.values != self.source.restrict(t, WV).values:
                         raise SheafError("restriction square does not commute")
-            for s in GU.elements:
-                GW.index_of(self.pullback(s))  # pullback lands in sections
+            for t in pulled:
+                GW.index_of(t)  # pullback lands in sections
         local = True
         for p, q in self.point_map.items():
             mo_p = self.source.minimal_open(p)
@@ -607,7 +589,7 @@ class SchemeMorphism:
             Gq = self.target.section_group(mo_q)
             for s in Gq.elements:
                 vanish_target = _is_id_value(self.target, s, q)
-                t = self.source.restrict(self.pullback(self._extendback(s, mo_q)), mo_p)
+                t = self.source.restrict(self.pullback(s), mo_p)
                 vanish_source = _is_id_value(self.source, t, p)
                 if vanish_target != vanish_source:
                     local = False
@@ -615,13 +597,10 @@ class SchemeMorphism:
             raise SheafError("morphism is not local")
         return {"continuous": True, "squares": True, "local": True}
 
-    def _extendback(self, s: SchemeSection, U: frozenset) -> SchemeSection:
-        return s if s.open_set == U else self.target.restrict(s, U)
-
 
 def _is_id_value(scheme, s: SchemeSection, point) -> bool:
-    idsec = scheme.constant_section(s.open_set, scheme.base.id)
-    return s.value_at(point) == idsec.value_at(point)
+    q = scheme.point_quotient(point)
+    return s.value_at(point) == q.projection(q.parent.id)
 
 
 def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise") -> SchemeMorphism:
@@ -651,12 +630,9 @@ def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise")
     def pullback(s: SchemeSection) -> SchemeSection:
         U = s.open_set
         W = frozenset(p for p, q in pm.items() if q in U)
-        vals, certs = {}, {}
-        for p in W:
-            q = pm[p]
-            certs[p] = h = f(s.certificates[q])
-            vals[p] = X.point_quotient(p).projection(h)
-        return SchemeSection(W, _mkvalues(vals), certs)
+        certs = {p: f(s.certificates[pm[p]]) for p in W}
+        row = tuple(X.point_quotient(p).projection(certs[p]) for p in sorted(W))
+        return SchemeSection(W, row, certs)
 
     m = SchemeMorphism(X, Y, pm, pullback, algebraic=f)
     m.verify()
@@ -721,14 +697,16 @@ def check_sheaf_axioms(scheme) -> dict:
             G1 = scheme.section_group(V1)
             G2 = scheme.section_group(V2)
             inter = V1 & V2
+            # hash join on the values over V1 & V2
+            by_inter: dict = {}
+            for s2 in G2.elements:
+                by_inter.setdefault(scheme.restrict(s2, inter).values, []).append(s2)
             glued = set()
             for s1 in G1.elements:
-                for s2 in G2.elements:
-                    if scheme.restrict(s1, inter).values != scheme.restrict(s2, inter).values:
-                        continue
-                    merged = dict(scheme.restrict(s1, V1).values)
-                    merged.update(dict(s2.values))
-                    glued.add(_mkvalues(merged))
+                for s2 in by_inter.get(scheme.restrict(s1, inter).values, ()):
+                    merged = _value_map(s1)
+                    merged.update(_value_map(s2))
+                    glued.add(tuple(merged[p] for p in sorted(U)))
             have = {s.values for s in GU.elements}
             if glued != have:
                 raise SheafError(
@@ -935,12 +913,11 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
             U = s.open_set
             W = frozenset(p for p, qq in pm.items() if qq in U)
             # per point, push the realizing element of s through v
-            vals = {}
-            for p in W:
-                h = s.certificates[pm[p]]
-                vals[p] = GX.elements[v(proj(h))].value_at(p)
+            row = tuple(
+                GX.elements[v(proj(s.certificates[pm[p]]))].value_at(p) for p in sorted(W)
+            )
             GW = X.section_group(W)
-            i = GW._index.get(_mkvalues(vals))
+            i = GW._index.get(row)
             if i is None:
                 raise SheafError("rebuilt pullback is not a section")
             return GW.elements[i]

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fingroup import GroupError, GroupTable, Homomorphism, Subgroup, normal_closure
+from .fingroup import GroupTable, Homomorphism, Subgroup, pointwise_table
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
 from .gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
 
@@ -121,11 +121,7 @@ class FunctionGroup:
         """The function group as an object over G via the constants."""
         G = self.variety.group
         index = {v: i for i, v in enumerate(self.elements)}
-        n = len(self.elements)
-        mul = [
-            [index[_pointwise(G, a, b)] for b in self.elements]
-            for a in self.elements
-        ]
+        mul = pointwise_table([G] * len(self.variety.points), self.elements)
         table = GroupTable(mul, name=f"O({self.variety.group.name}^{self.variety.nvars})",
                            validate=False)
         structure = Homomorphism(G, table, [index[self.constant(g)] for g in range(G.order)])

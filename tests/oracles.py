@@ -244,3 +244,37 @@ def _naive_glued_sections(D, W: frozenset) -> list[tuple]:
                 {"left": (v1, c1), "right": (v2, c2)},
             ))
     return out
+
+
+def _naive_coset_mul(scheme, point):
+    """(a, b) -> the coset index of a*b in the quotient at a point, from
+    least-member representatives; a glued point resolves to its chart."""
+    if isinstance(scheme, GluedScheme):
+        side, p = point
+        return _naive_coset_mul(scheme.X1 if side == "L" else scheme.X2, p)
+    H = scheme.spectrum.object.carrier
+    index, reps = naive_cosets(H, scheme.spectrum.primes[point].members.members)
+    return lambda a, b: index[int(H.mul[reps[a], reps[b]])]
+
+
+def naive_section_table(scheme, U) -> list[list[int]]:
+    """Multiplication table of the sections over U: the pointwise coset
+    product of every pair, looked up in naive_section_group's list."""
+    values = [v for v, _ in naive_section_group(scheme, U)]
+    mul = {p: _naive_coset_mul(scheme, p) for p in U}
+    where = {v: i for i, v in enumerate(values)}
+    return [
+        [where[tuple((p, mul[p](a, b)) for (p, a), (_, b) in zip(s, t))] for t in values]
+        for s in values
+    ]
+
+
+def naive_function_table(F) -> list[list[int]]:
+    """Multiplication table of a function group: pointwise products of value
+    tuples, looked up in its element list."""
+    G = F.variety.group
+    where = {v: i for i, v in enumerate(F.elements)}
+    return [
+        [where[tuple(int(G.mul[a, b]) for a, b in zip(s, t))] for t in F.elements]
+        for s in F.elements
+    ]

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 from groupspec.fingroup import GroupError, Homomorphism, cyclic, direct_product, symmetric
 from groupspec.freeprod import WordContext, parse_word
 from groupspec.gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
 
-from oracles import SpanOracle
+from oracles import SpanOracle, conjugates_of, naive_generated
 
 
 def test_identity_object_spans_are_normal_closures():
@@ -26,6 +27,27 @@ def test_span_with_partial_structure():
     oracle = SpanOracle(obj.structure)
     for x in range(6):
         assert frozenset(obj.g_span(x).members) == oracle.span(x)
+
+
+def test_spans_match_naive_closure_of_conjugates():
+    # one surjective object and two that are not: the catalog's Z2 -> S5
+    # and Z4 onto the cyclic subgroup of a 4-cycle in S4
+    from groupspec.catalog import large_catalog
+
+    S4, Z4 = symmetric(4), cyclic(4)
+    c = next(x for x in range(S4.order) if S4.element_order(x) == 4)
+    cyc = GGroup(Z4, S4, Homomorphism(Z4, S4, [S4.power(c, i) for i in range(4)]))
+    objects = [identity_object(S4), dict(large_catalog())["Z2->S5"], cyc]
+    for obj in objects:
+        H = obj.carrier
+        by = np.unique(np.asarray(obj.structure.image))
+        for x in range(H.order):
+            want = naive_generated(H, (int(y) for y in conjugates_of(H, x, by)))
+            assert frozenset(obj.g_span(x).members) == want, (obj.label(), x)
+    classes = [frozenset(cls.tolist()) for cls in S4.conjugacy_classes()]
+    assert classes == sorted(
+        {frozenset(conjugates_of(S4, x, np.arange(24)).tolist()) for x in range(24)}, key=min
+    )
 
 
 def test_integrality_flags():
