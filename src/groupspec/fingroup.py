@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ class GroupTable:
         mul: Sequence[Sequence[int]] | np.ndarray,
         labels: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
-        validate: Optional[bool] = None,
+        validate: bool = True,
     ):
         mul = np.asarray(mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
@@ -77,14 +77,10 @@ class GroupTable:
 
         self.id: int = self._find_identity()
         self.inv: np.ndarray = self._find_inverses()
-        # Full associativity check is cubic; only run it on tables small
-        # enough that it stays cheap.  Structured constructors are valid by
-        # construction and pass validate=False.
-        if validate is None:
-            validate = n <= 256
+        # structured constructors are valid by construction and pass
+        # validate=False
         if validate:
             self._check_associative()
-        self._conj_class_cache: Optional[list] = None
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -107,11 +103,19 @@ class GroupTable:
         return inv
 
     def _check_associative(self) -> None:
-        m = self.mul.astype(np.int32)
-        left = m[m, :]          # (a*b)*c indexed [a,b,c]
-        right = m[:, m]         # a*(b*c) indexed [a,b,c]
-        if not np.array_equal(left, right):
-            raise GroupError("table is not associative")
+        """Light's test: (a*g)*b == a*(g*b) for all a, b and each g of a
+        greedy generating set, O(n^2 * |gens|).  Exact: the middle elements
+        that pass are closed under products, and every element is a product
+        of the generators."""
+        gens, span = [], Subgroup(self, [self.id])
+        for x in range(self.order):
+            if x not in span:
+                gens.append(x)
+                span = self.generated_subgroup(gens)
+        m = self.mul
+        for g in gens:
+            if not np.array_equal(m[m[:, g]], m[:, m[g]]):
+                raise GroupError("table is not associative")
 
     # -- basic arithmetic --------------------------------------------------
 
@@ -203,11 +207,23 @@ class GroupTable:
             orbits.append(orb)
         return orbits, orbit_of
 
+    @cached_property
+    def class_partition(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Conjugacy classes and each element's class id.  A set is closed
+        under conjugation iff it is a union of classes, so every normality
+        fact is read from this partition."""
+        return self.conjugation_orbits(range(self.order))
+
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Conjugacy classes as sorted index arrays, ordered by least member."""
-        if self._conj_class_cache is None:
-            self._conj_class_cache = self.conjugation_orbits(range(self.order))[0]
-        return self._conj_class_cache
+        return self.class_partition[0]
+
+    def _class_hull(self, xs) -> np.ndarray:
+        """Mask of the union of the conjugacy classes that meet xs."""
+        classes, class_of = self.class_partition
+        met = np.zeros(len(classes), dtype=bool)
+        met[class_of[xs]] = True
+        return met[class_of]
 
 
 @dataclass(frozen=True)
@@ -260,13 +276,7 @@ class Subgroup:
             raise GroupError("not closed under inverses")
 
     def is_normal(self) -> bool:
-        m = np.asarray(self.members)
-        allg = np.arange(self.parent.order)
-        # conjugate each member by every group element
-        conj = self.parent.mul[
-            self.parent.mul[np.ix_(allg, m)], self.parent.inv[allg][:, None]
-        ]
-        return bool(self._mask[conj].all())
+        return np.array_equal(self.parent._class_hull(self._mask), self._mask)
 
     def is_trivial(self) -> bool:
         return len(self.members) == 1
@@ -315,10 +325,6 @@ class Homomorphism:
     def is_surjective(self) -> bool:
         return len(set(self.image)) == self.target.order
 
-    def kernel(self) -> Subgroup:
-        img = np.asarray(self.image)
-        return Subgroup(self.source, np.flatnonzero(img == self.target.id))
-
     def compose(self, outer: "Homomorphism") -> "Homomorphism":
         """outer o self (apply self first)."""
         if outer.source is not self.target:
@@ -349,18 +355,10 @@ class QuotientGroup:
 
 
 def normal_closure(H: GroupTable, S: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of H containing S."""
-    S = list(S)
-    if not S:
-        return Subgroup(H, [H.id])
-    allg = np.arange(H.order)
-    gens: set[int] = set()
-    for s in S:
-        conj = np.unique(H.mul[H.mul[allg, s], H.inv[allg]])
-        gens.update(int(c) for c in conj)
-    # conjugates of generators are closed under conjugation, so the
-    # generated subgroup is already normal
-    return H.generated_subgroup(gens)
+    """Smallest normal subgroup of H containing S: the subgroup generated
+    by the classes that meet S, a set closed under conjugation."""
+    hull = H._class_hull(np.asarray(list(S), dtype=np.int64))
+    return H.generated_subgroup(np.flatnonzero(hull))
 
 
 @lru_cache(maxsize=None)
@@ -375,10 +373,11 @@ def commutator_subgroup(H: GroupTable, L: Subgroup, Lp: Subgroup) -> Subgroup:
 
 
 def subgroup_product(H: GroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Product AB of two normal subgroups (as the generated subgroup)."""
+    """Product AB of two normal subgroups: the product set, a subgroup
+    because B is normal."""
     if not (A.is_normal() and B.is_normal()):
         raise GroupError("subgroup_product requires normal inputs")
-    return H.generated_subgroup(set(A.members) | set(B.members))
+    return Subgroup(H, np.unique(H.mul[np.ix_(A.members, B.members)]))
 
 
 @lru_cache(maxsize=None)
@@ -415,20 +414,22 @@ def is_nilpotent(L: Subgroup) -> bool:
 
 @lru_cache(maxsize=None)
 def normal_subgroups(H: GroupTable) -> tuple[Subgroup, ...]:
-    """All normal subgroups, ordered by (size, member tuple)."""
-    classes = H.conjugacy_classes()
+    """All normal subgroups, ordered by (size, member tuple).
+
+    Every normal subgroup is a join of atoms, the normal closures of single
+    classes, and the join of normal N and A is the product set NA.
+    """
+    atoms = {A.members: A for A in (H.generated_subgroup(c) for c in H.conjugacy_classes())}
     trivial = Subgroup(H, [H.id])
     found = {trivial.members: trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for N in frontier:
-            for cls in classes:
-                c = int(cls[0])
-                if c in N:
+            for A in atoms.values():
+                if A.issubset(N):
                     continue
-                # union of conjugacy classes, so the closure is normal
-                M = H.generated_subgroup(list(N.members) + list(cls))
+                M = Subgroup(H, np.unique(H.mul[np.ix_(N.members, A.members)]))
                 if M.members not in found:
                     found[M.members] = M
                     nxt.append(M)
@@ -599,7 +600,8 @@ def quaternion8() -> GroupTable:
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     n, m = A.order, B.order
-    big = A.mul.astype(np.int64)[:, None, :, None] * m + B.mul.astype(np.int64)[None, :, None, :]
+    dt = _dtype_for(n * m)  # every entry is below n*m
+    big = A.mul.astype(dt)[:, None, :, None] * m + B.mul.astype(dt)[None, :, None, :]
     mul = big.reshape(n * m, n * m)
     labels = [f"({a},{b})" for a in A.labels for b in B.labels]
     return GroupTable(mul, labels=labels, name=f"{A.name}x{B.name}", validate=False)

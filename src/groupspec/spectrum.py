@@ -110,9 +110,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def index_of(self, P: Ideal) -> int:
-        return self.primes.index(P)
-
     # -- topology ----------------------------------------------------------
 
     def closed_sets(self) -> list["ClosedSet"]:
@@ -179,9 +176,6 @@ class ClosedSet:
     spectrum: Spectrum
     member_indices: frozenset
     generator: Subgroup
-
-    def ideals(self) -> list[Ideal]:
-        return [self.spectrum.primes[i] for i in sorted(self.member_indices)]
 
 
 def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spectrum:

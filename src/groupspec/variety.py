@@ -18,7 +18,6 @@ from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inve
 from .gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
 
 __all__ = [
-    "PointTuple",
     "VarietySet",
     "FunctionGroup",
     "VarietyError",
@@ -27,7 +26,6 @@ __all__ = [
     "maximality_probe",
     "hom_variety_correspondence",
     "zariski_closed_sets",
-    "point_ideal_contains",
 ]
 
 DEFAULT_PROBE_LEN = 3
@@ -39,12 +37,6 @@ class VarietyError(ValueError):
 
 def _closure_cap() -> int:
     return int(os.environ.get("GROUPSPEC_CLOSURE_CAP", "20000"))
-
-
-@dataclass(frozen=True)
-class PointTuple:
-    group: GroupTable
-    coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,12 +60,6 @@ class VarietySet:
 
 def _id_structure(G: GroupTable) -> Homomorphism:
     return Homomorphism.identity(G)
-
-
-def point_ideal_contains(w: Word, coords: Sequence[int]) -> bool:
-    """Membership of a word in the vanishing ideal of a point."""
-    G = w.context.group
-    return evaluate(w, _id_structure(G), list(coords)) == G.id
 
 
 def variety_of(G: GroupTable, n: int, gens: Iterable[Word]) -> VarietySet:

@@ -46,6 +46,23 @@ def naive_is_normal(G: GroupTable, S: frozenset) -> bool:
     return set(int(x) for x in np.unique(conj)) == S
 
 
+def naive_is_associative(mul) -> bool:
+    """(a*b)*c == a*(b*c) for every triple, the full cubic check."""
+    m = np.asarray(mul, dtype=np.int64)
+    return bool(np.array_equal(m[m, :], m[:, m]))
+
+
+def swapped_cyclic(n: int, a: int, b: int) -> np.ndarray:
+    """The table of Z_n (n even) with the intercalate on rows a, a+n/2 and
+    columns b, b+n/2 swapped: still a Latin square, and for 0 < a, b the
+    identity row and column are untouched."""
+    h = n // 2
+    m = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    for r in (a, a + h):
+        m[r, [b, b + h]] = m[r, [b + h, b]]
+    return m
+
+
 def naive_normal_subgroups(G: GroupTable) -> list[frozenset]:
     """Join lattice of the normal closures of single conjugacy classes."""
     classes = {frozenset(int(c) for c in conjugates_of(G, x, _all(G))) for x in range(G.order)}

@@ -178,3 +178,16 @@ def test_run_identity_glue_of_glued_scheme_exit_2(tmp_path):
     assert code == 2
     _assert_one_line(err)
     assert "identity gluing needs two affine schemes" in err
+
+
+def test_run_non_associative_large_table_exit_1(tmp_path):
+    from oracles import swapped_cyclic
+
+    m = swapped_cyclic(300, 1, 2)
+    (tmp_path / "z300.txt").write_text(
+        "order 300\n" + "\n".join(" ".join(str(int(x)) for x in row) for row in m) + "\n"
+    )
+    code, err = _run_program_process("group G = table z300.txt\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert "not associative" in err

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupspec.catalog import groups, small_catalog
 from groupspec.fingroup import (
     GroupError,
+    GroupTable,
     Homomorphism,
     Subgroup,
     alternating,
@@ -21,7 +25,13 @@ from groupspec.fingroup import (
     symmetric,
 )
 
-from oracles import naive_generated, naive_is_normal, naive_normal_subgroups
+from oracles import (
+    naive_generated,
+    naive_is_associative,
+    naive_is_normal,
+    naive_normal_subgroups,
+    swapped_cyclic,
+)
 
 SMALL = [cyclic(2), cyclic(6), symmetric(3), dihedral(4), quaternion8(), alternating(4)]
 
@@ -183,3 +193,75 @@ def test_homomorphism_rejects_out_of_range_images():
         Homomorphism(S3, S3, [0, 1, 2, 3, 4, 9])
     with pytest.raises(GroupError, match="image -1 out of range"):
         Homomorphism(S3, cyclic(2), [0, -1, 0, 1, 1, 0])
+
+
+def test_light_test_rejects_large_non_associative_table():
+    # order 300 is past the old 256-element cap, under which this table
+    # (Latin, with identity and inverses) was accepted unchecked
+    with pytest.raises(GroupError, match="not associative"):
+        GroupTable(swapped_cyclic(300, 1, 2))
+
+
+def _light_accepts(G) -> bool:
+    try:
+        G._check_associative()
+    except GroupError:
+        return False
+    return True
+
+
+def test_light_test_matches_cubic_check():
+    rejected = 0
+    for n in range(4, 41, 2):
+        h = n // 2
+        for a in range(1, h):
+            for b in sorted({1, a, h - 1}):
+                try:
+                    G = GroupTable(swapped_cyclic(n, a, b), validate=False)
+                except GroupError:
+                    continue  # the swap moved an identity entry
+                light = _light_accepts(G)
+                assert light == naive_is_associative(G.mul), (n, a, b)
+                rejected += not light
+                if n <= 16:
+                    # element 1 of G x Z2 is (e, 1), which associates with
+                    # everything: a later generator must find the defect
+                    P = direct_product(G, cyclic(2))
+                    assert _light_accepts(P) == light == naive_is_associative(P.mul)
+    assert rejected > 100
+    for name, G in groups().items():
+        if G.order <= 256:
+            assert naive_is_associative(G.mul), name
+            G._check_associative()
+
+
+def test_is_normal_on_every_subset_with_identity():
+    for G in (symmetric(3), dihedral(4), quaternion8(), alternating(4)):
+        others = [x for x in range(G.order) if x != G.id]
+        for k in range(len(others) + 1):
+            for rest in itertools.combinations(others, k):
+                S = frozenset(rest) | {G.id}
+                assert Subgroup(G, S).is_normal() == naive_is_normal(G, S), (G.name, S)
+
+
+def test_normal_closure_of_every_element():
+    for G in SMALL:
+        for x in range(G.order):
+            gens = {int(G.mul[G.mul[g][x]][G.inv[g]]) for g in range(G.order)}
+            assert frozenset(normal_closure(G, (x,)).members) == naive_generated(G, gens)
+
+
+def test_subgroup_product_against_oracle():
+    for name, obj in small_catalog():
+        G = obj.carrier
+        normals = normal_subgroups(G)
+        for A in normals:
+            for B in normals:
+                got = subgroup_product(G, A, B)
+                assert frozenset(got.members) == naive_generated(G, set(A.members) | set(B.members)), name
+
+
+def test_normal_subgroups_by_atom_joins_against_oracle():
+    for G in (symmetric(4), dihedral(12), direct_product(symmetric(4), cyclic(3))):
+        got = [frozenset(N.members) for N in normal_subgroups(G)]
+        assert got == naive_normal_subgroups(G), G.name

@@ -1,0 +1,50 @@
+"""Differential test against sympy's permutation groups, a second oracle
+written independently of groupspec.  Only orders and normality flags are
+compared, so the two libraries' product conventions do not matter."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+
+from groupspec.fingroup import (  # noqa: E402
+    Subgroup,
+    commutator_subgroup,
+    from_permutations,
+    normal_closure,
+)
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return degree, [tuple(g) for g in gens]
+
+
+def _label(p: Permutation) -> str:
+    """Cycle notation as groupspec labels permutations (1-based, e = identity)."""
+    return "".join("(" + " ".join(str(k + 1) for k in c) + ")" for c in p.cyclic_form) or "e"
+
+
+@given(permutation_generators())
+@settings(max_examples=60, deadline=None)
+def test_permutation_groups_match_sympy(case):
+    degree, gens = case
+    H = from_permutations(degree, gens)
+    perms = [Permutation(list(g)) for g in gens]
+    P = PermutationGroup(perms)
+    assert H.order == P.order()
+    assert sorted(H.labels) == sorted(_label(p) for p in P.elements)
+    whole = Subgroup(H, range(H.order))
+    assert len(commutator_subgroup(H, whole, whole)) == P.derived_subgroup().order()
+    for g in perms:
+        x = H.labels.index(_label(g))
+        assert len(normal_closure(H, [x])) == P.normal_closure(g).order()
+        assert H.generated_subgroup([x]).is_normal() == PermutationGroup([g]).is_normal(P)
+    if len(perms) > 1:
+        rest = perms[1:]
+        sub = H.generated_subgroup([H.labels.index(_label(g)) for g in rest])
+        assert sub.is_normal() == PermutationGroup(rest).is_normal(P)
+        assert len(normal_closure(H, sub.members)) == P.normal_closure(PermutationGroup(rest)).order()
