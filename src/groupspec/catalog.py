@@ -1,11 +1,12 @@
 """Named object catalogs used by the audit suites.
 
-Group instances are built once and shared, so identity-based endpoint
-checks (structure maps, morphisms) work across suites.
+Group instances are built on first use and then shared, so identity-based
+endpoint checks (structure maps, morphisms) work across suites.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .fingroup import (
@@ -25,24 +26,43 @@ __all__ = ["groups", "small_catalog", "large_catalog", "catalog", "CATALOGS"]
 CATALOGS = ("small", "large")
 
 
-@lru_cache(maxsize=None)
-def groups() -> dict[str, GroupTable]:
-    """The shared group instances, keyed by display name."""
-    out = {
-        "Z2": cyclic(2),
-        "Z3": cyclic(3),
-        "Z4": cyclic(4),
-        "V4": direct_product(cyclic(2), cyclic(2)),
-        "S3": symmetric(3),
-        "D4": dihedral(4),
-        "Q8": quaternion8(),
-        "A4": alternating(4),
-        "S4": symmetric(4),
-        "A5": alternating(5),
-        "S5": symmetric(5),
+class _Groups(Mapping):
+    """Name -> group, each built on first lookup and then shared."""
+
+    _MAKERS = {
+        "Z2": lambda g: cyclic(2),
+        "Z3": lambda g: cyclic(3),
+        "Z4": lambda g: cyclic(4),
+        "V4": lambda g: direct_product(cyclic(2), cyclic(2)),
+        "S3": lambda g: symmetric(3),
+        "D4": lambda g: dihedral(4),
+        "Q8": lambda g: quaternion8(),
+        "A4": lambda g: alternating(4),
+        "S4": lambda g: symmetric(4),
+        "A5": lambda g: alternating(5),
+        "S5": lambda g: symmetric(5),
+        "A5xA5": lambda g: direct_product(g["A5"], g["A5"]),
     }
-    out["A5xA5"] = direct_product(out["A5"], out["A5"])
-    return out
+
+    def __init__(self):
+        self._built: dict[str, GroupTable] = {}
+
+    def __getitem__(self, name: str) -> GroupTable:
+        if name not in self._built:
+            self._built[name] = self._MAKERS[name](self)
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._MAKERS)
+
+    def __len__(self) -> int:
+        return len(self._MAKERS)
+
+
+@lru_cache(maxsize=None)
+def groups() -> Mapping[str, GroupTable]:
+    """The shared group instances, keyed by display name."""
+    return _Groups()
 
 
 @lru_cache(maxsize=None)

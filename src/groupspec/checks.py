@@ -25,7 +25,7 @@ from .fingroup import (
     subgroup_product,
 )
 from .freeprod import Word, WordContext, bounded_divisor_witness, enumerate_words, parse_word
-from .gobject import GGroup, GMorphism, identity_object
+from .gobject import VARIANTS, GGroup, GMorphism, identity_object
 from .spectrum import (
     Ideal,
     Spectrum,
@@ -47,8 +47,6 @@ from .variety import (
 )
 
 __all__ = ["SUITES", "run_suite", "run_suites", "report_lines", "worst_status"]
-
-VARIANTS = ("t1", "t2")
 
 
 def _rec(suite: str, instance: str, status: str, detail: str = "", cat: str = "small") -> dict:

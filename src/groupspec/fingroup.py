@@ -233,11 +233,14 @@ class Subgroup:
     parent: GroupTable
     members: tuple[int, ...]
     _mask: np.ndarray = field(compare=False, repr=False, default=None)
+    _hash: int = field(compare=False, repr=False, default=0)
 
     def __init__(self, parent: GroupTable, members: Iterable[int]):
         arr = np.unique(np.asarray(list(members), dtype=np.int64))
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", tuple(int(x) for x in arr))
+        # tuples do not cache their hash, and subgroups key many caches
+        object.__setattr__(self, "_hash", hash((id(parent), self.members)))
         mask = np.zeros(parent.order, dtype=bool)
         mask[arr] = True
         object.__setattr__(self, "_mask", mask)
@@ -265,7 +268,7 @@ class Subgroup:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return self._hash
 
     def verify(self) -> None:
         m = np.asarray(self.members)
@@ -389,10 +392,8 @@ def quotient(H: GroupTable, N: Subgroup) -> QuotientGroup:
     # coset representative of x = least member of xN
     rep = H.mul[:, m].min(axis=1)
     reps = np.unique(rep)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    proj = [index_of[int(rep[x])] for x in range(H.order)]
-    proj_arr = np.asarray(proj)
-    qmul = proj_arr[H.mul[np.ix_(reps, reps)]]
+    proj = np.searchsorted(reps, rep)  # coset index of every element
+    qmul = proj[H.mul[np.ix_(reps, reps)]]
     labels = [H.labels[int(r)] + "*" if len(N) > 1 else H.labels[int(r)] for r in reps]
     table = GroupTable(qmul, labels=labels, name=f"{H.name}/{len(N)}", validate=False)
     projection = Homomorphism(H, table, proj)

@@ -1,7 +1,8 @@
 """Objects (H, f: G -> H) over a fixed base group, and their morphisms.
 
-The structure map need not be injective.  Conjugate spans G(x), divisor
-witnesses and Hom-set enumeration live here.
+The structure map need not be injective.  Conjugate spans G(x), the
+primality engine behind spectra and divisor witnesses, and Hom-set
+enumeration live here.
 """
 
 from __future__ import annotations
@@ -9,16 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .fingroup import (
-    GroupError,
-    GroupTable,
-    Homomorphism,
-    Subgroup,
-    commutator_subgroup,
-)
+import numpy as np
+
+from .fingroup import GroupError, GroupTable, Homomorphism, Subgroup, normal_subgroups
 from . import freeprod
 
-__all__ = ["GGroup", "GMorphism", "identity_object", "enumerate_g_morphisms"]
+__all__ = ["GGroup", "GMorphism", "identity_object", "enumerate_g_morphisms", "VARIANTS", "PRIME_DEFS"]
+
+VARIANTS = ("t1", "t2")
+PRIME_DEFS = ("quotient", "elementwise")
 
 
 @dataclass(frozen=True)
@@ -44,34 +44,102 @@ class GGroup:
 
     # -- spans -------------------------------------------------------------
 
+    def _orbits(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The orbits of conjugation by f(G) and each element's orbit."""
+        if "orbits" not in self._caches:
+            self._caches["orbits"] = self.carrier.conjugation_orbits(self.structure.image)
+        return self._caches["orbits"]
+
     def g_span(self, x: int) -> Subgroup:
         """Subgroup of the carrier generated by the f(g)-conjugates of x,
         i.e. by x's orbit under conjugation by f(G): one closure per orbit."""
         cache = self._caches.setdefault("span", {})
         if x not in cache:
-            if "orbits" not in self._caches:
-                self._caches["orbits"] = self.carrier.conjugation_orbits(self.structure.image)
-            orbits, orbit_of = self._caches["orbits"]
+            orbits, orbit_of = self._orbits()
             orbit = orbits[orbit_of[x]]
-            span = self._intern(self.carrier.generated_subgroup(orbit))
+            span = self.carrier.generated_subgroup(orbit)
             cache.update(dict.fromkeys(orbit.tolist(), span))
         return cache[x]
 
-    def _intern(self, sub: Subgroup) -> Subgroup:
-        pool = self._caches.setdefault("subs", {})
-        return pool.setdefault(sub.members, sub)
+    # -- primality ---------------------------------------------------------
 
-    def _condition(self, S1: Subgroup, S2: Subgroup, variant: str) -> Subgroup:
-        """The subgroup whose containment in an ideal drives primality."""
+    def primes(self, variant: str, prime_def: str) -> tuple[Subgroup, ...]:
+        """The proper normal subgroups N of the carrier with no divisor pair
+        modulo N, in ``normal_subgroups`` order, all decided in one pass."""
+        key = ("primes", variant, prime_def)
+        if key not in self._caches:
+            proper = normal_subgroups(self.carrier)[:-1]  # the last is the carrier
+            self._caches[key] = tuple(
+                N for N in proper if not self._divisor_pairs(N, variant, prime_def).any()
+            )
+        return self._caches[key]
+
+    def _divisor_pairs(self, N: Subgroup, variant: str, prime_def: str) -> np.ndarray:
+        """Bool matrix over the f(G)-orbits: (i, j) is set iff both orbits
+        lie outside the normal subgroup N and the spans of their images make
+        a divisor pair in H/N.
+
+        x lies outside N iff its span does.  The span of xN in H/N is
+        G(x)N/N and [AN/N, BN/N] = [A, B]N/N (correspondence theorem), so
+        t1 reads the same under both definitions and no quotient is built.
+        """
+        if variant not in VARIANTS:
+            raise GroupError(f"unknown variant {variant!r}")
+        if prime_def not in PRIME_DEFS:
+            raise GroupError(f"unknown prime_def {prime_def!r}")
+        orbits, _ = self._orbits()
+        outside = ~N.mask[[int(o[0]) for o in orbits]]
         if variant == "t1":
-            cache = self._caches.setdefault("comm", {})
-            key = (S1.members, S2.members)
-            if key not in cache:
-                cache[key] = self._intern(commutator_subgroup(self.carrier, S1, S2))
-            return cache[key]
-        if variant == "t2":
-            return self._intern(S1.intersection(S2))
-        raise GroupError(f"unknown variant {variant!r}")
+            held_by = np.array([M.issubset(N) for M in normal_subgroups(self.carrier)])
+            held = held_by[self._commutator_closures()]
+        else:
+            spans, span_of = self._span_masks()
+            if prime_def == "elementwise":  # S_i & S_j <= N
+                rest = spans & ~N.mask
+            else:  # S_iN & S_jN = N; a coset is named by its least member
+                coset = self.carrier.mul[:, N.mask].min(axis=1)
+                rest = np.zeros_like(spans)
+                rows, cols = np.nonzero(spans)
+                rest[rows, coset[cols]] = True
+                rest[:, coset[self.carrier.id]] = False
+            held = ~(rest @ rest.T)[np.ix_(span_of, span_of)]
+        return held & outside[:, None] & outside[None, :]
+
+    def _commutator_closures(self) -> np.ndarray:
+        """least[i, j]: index in ``normal_subgroups`` of the normal closure
+        of [S_i, S_j], for the spans of f(G)-orbits i and j.
+
+        A normal N holds [S_i, S_j] iff it holds every commutator of the two
+        orbits, a union of conjugacy classes.  Conjugating by f(G) moves each
+        pair onto one with the first entry a fixed member a_i of orbit i, so
+        the classes of [a_i, b], b in orbit j, are all of them.  The closure
+        is the first normal subgroup, by size, holding those classes.
+        """
+        if "t1" not in self._caches:
+            H = self.carrier
+            classes, class_of = H.class_partition
+            firsts = [int(c[0]) for c in classes]
+            outside = ~np.array([N.mask[firsts] for N in normal_subgroups(H)]).T
+            orbits, orbit_of = self._orbits()
+            every = np.arange(H.order)
+            least = np.empty((len(orbits), len(orbits)), dtype=np.int32)
+            for i, orbit in enumerate(orbits):
+                a = int(orbit[0])
+                comm = H.mul[H.mul[H.mul[a, every], H.inv[a]], H.inv[every]]
+                met = np.zeros((len(orbits), len(classes)), dtype=bool)
+                met[orbit_of, class_of[comm]] = True
+                least[i] = np.argmin(met @ outside, axis=1)
+            self._caches["t1"] = least
+        return self._caches["t1"]
+
+    def _span_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct spans as member-mask rows, and each orbit's row."""
+        if "spans" not in self._caches:
+            orbits, _ = self._orbits()
+            rows: dict[Subgroup, int] = {}
+            span_of = [rows.setdefault(self.g_span(int(o[0])), len(rows)) for o in orbits]
+            self._caches["spans"] = (np.array([S.mask for S in rows]), np.asarray(span_of))
+        return self._caches["spans"]
 
     # -- divisors of zero --------------------------------------------------
 
@@ -80,27 +148,16 @@ class GGroup:
         H = self.carrier
         if x == H.id:
             raise GroupError("x must be distinct from the identity")
-        Sx = self.g_span(x)
-        for y in range(H.order):
-            if y == H.id:
-                continue
-            if self._condition(Sx, self.g_span(y), variant).is_trivial():
-                return y
-        return None
+        _, orbit_of = self._orbits()
+        pairs = self._divisor_pairs(normal_subgroups(H)[0], variant, "elementwise")
+        hits = np.flatnonzero(pairs[orbit_of[x], orbit_of])
+        return int(hits[0]) if hits.size else None
 
     def is_integral(self, variant: str) -> bool:
-        """No divisors of zero; vacuously true for the trivial carrier."""
+        """No divisors of zero, i.e. the trivial ideal is prime; vacuously
+        true for the trivial carrier."""
         H = self.carrier
-        spans = set()
-        for x in range(H.order):
-            if x != H.id:
-                spans.add(self.g_span(x))
-        spans = sorted(spans, key=lambda s: s.members)
-        for S1 in spans:
-            for S2 in spans:
-                if self._condition(S1, S2, variant).is_trivial():
-                    return False
-        return True
+        return H.order == 1 or normal_subgroups(H)[0] in self.primes(variant, "elementwise")
 
     # -- word evaluation ---------------------------------------------------
 
@@ -198,19 +255,8 @@ def enumerate_g_morphisms(A: GGroup, B: GGroup) -> list[GMorphism]:
         g = gens[k]
         order_g = HA.element_order(g)
         for h in range(HB.order):
-            if order_g % HB.element_order(h) != 0:
-                continue
-            partial2 = dict(partial)
-            partial2[g] = h
-            assign(k + 1, partial2)
+            if order_g % HB.element_order(h) == 0:
+                assign(k + 1, {**partial, g: h})
 
     assign(0, seed)
-    out = []
-    seen = set()
-    for img in sorted(found):
-        timg = tuple(img)
-        if timg in seen:
-            continue
-        seen.add(timg)
-        out.append(GMorphism(A, B, Homomorphism(HA, HB, img)))
-    return out
+    return [GMorphism(A, B, Homomorphism(HA, HB, img)) for img in sorted(set(map(tuple, found)))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from .fingroup import (
@@ -72,7 +72,13 @@ class SchemeSection:
     def value_at(self, point):
         if point not in self.open_set:
             raise SheafError(f"point {point!r} not in the section domain")
-        return self.values[sorted(self.open_set).index(point)]
+        return self.values[_positions(self.open_set)[point]]
+
+
+@lru_cache(maxsize=None)
+def _positions(U: frozenset) -> dict:
+    """Each point of U mapped to its place in a row, in sorted point order."""
+    return {p: i for i, p in enumerate(sorted(U))}
 
 
 @runtime_checkable
@@ -100,7 +106,7 @@ class Scheme(Protocol):
 
 
 def _value_map(s: SchemeSection) -> dict:
-    return dict(zip(sorted(s.open_set), s.values))
+    return dict(zip(_positions(s.open_set), s.values))
 
 
 def _check_point(scheme, point) -> None:
@@ -229,7 +235,8 @@ class AffineScheme:
     def restrict(self, s: SchemeSection, U2: frozenset) -> SchemeSection:
         if not U2 <= s.open_set:
             raise SheafError("restriction to a non-subset")
-        values = tuple(v for p, v in zip(sorted(s.open_set), s.values) if p in U2)
+        pos = _positions(s.open_set)
+        values = tuple(s.values[pos[p]] for p in _positions(frozenset(U2)))
         certs = {p: h for p, h in s.certificates.items() if p in U2}
         return SchemeSection(frozenset(U2), values, certs)
 
@@ -616,11 +623,7 @@ def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise")
             raise SheafError(
                 f"preimage of prime #{i} is the whole carrier; no induced point"
             )
-        match = None
-        for j, P in enumerate(specH.primes):
-            if P.members == K:
-                match = j
-                break
+        match = next((j for j, P in enumerate(specH.primes) if P.members == K), None)
         if match is None:
             raise SheafError(
                 f"preimage of prime #{i} fails the {variant}/{prime_def} primality test"
@@ -797,11 +800,9 @@ def noetherian_sections(spec: Spectrum) -> dict:
     comps = irreducible_components(spec)
     if not comps:
         return {"order": 1, "tuples": [()], "isomorphic_to_sections": True}
-    generics = []
-    for c, g in comps:
-        if g is None:
-            raise SheafError("a component has no generic member prime")
-        generics.append(g)
+    generics = [g for _, g in comps]
+    if None in generics:
+        raise SheafError("a component has no generic member prime")
     quots = [quotient(H, spec.primes[g].members) for g in generics]
     closures = [spec.closure({g}) for g in generics]
     pair_quots = {}
@@ -811,29 +812,21 @@ def noetherian_sections(spec: Spectrum) -> dict:
                 H, spec.primes[generics[j]].members, spec.primes[generics[k]].members
             )
             pair_quots[(j, k)] = quotient(H, prod)
-    tuples = []
-    for combo in itertools.product(*[range(q.table.order) for q in quots]):
-        ok = True
-        for (j, k), pq in pair_quots.items():
-            hj = quots[j].reps[combo[j]]
-            hk = quots[k].reps[combo[k]]
-            if pq.projection(hj) != pq.projection(hk):
-                ok = False
-                break
-        if ok:
-            tuples.append(combo)
+    tuples = [
+        combo
+        for combo in itertools.product(*[range(q.table.order) for q in quots])
+        if all(
+            pq.projection(quots[j].reps[combo[j]]) == pq.projection(quots[k].reps[combo[k]])
+            for (j, k), pq in pair_quots.items()
+        )
+    ]
     X = AffineScheme(spec)
     whole = frozenset(X.points)
     G = X.section_group(whole)
     # natural comparison: a section is sent to its values at the generic points
-    image = set()
-    injective = True
-    for s in G.elements:
-        key = tuple(s.value_at(g) for g in generics)
-        if key in image:
-            injective = False
-        image.add(key)
-    iso = injective and image == set(tuples)
+    keys = [tuple(s.value_at(g) for g in generics) for s in G.elements]
+    image = set(keys)
+    iso = len(image) == len(keys) and image == set(tuples)
     return {
         "order": len(tuples),
         "tuples": tuples,
@@ -879,14 +872,11 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
     def Phi(m: SchemeMorphism) -> Optional[int]:
         """Index of the G-morphism matching the global pullback of m."""
         whole_Y = frozenset(Y.points)
-        image = []
-        for a in range(A.carrier.order):
-            s = Y.section_from_element(whole_Y, lift[a])
-            image.append(GX.index_of(m.pullback(s)))
-        for i, v in enumerate(homs):
-            if list(v.map.image) == image:
-                return i
-        return None
+        image = [
+            GX.index_of(m.pullback(Y.section_from_element(whole_Y, lift[a])))
+            for a in range(A.carrier.order)
+        ]
+        return next((i for i, v in enumerate(homs) if list(v.map.image) == image), None)
 
     def Psi(vi: int) -> SchemeMorphism:
         """Rebuild the geometric map from prime preimages of vanishing ideals."""
@@ -898,11 +888,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
                 if _is_id_value(X, GX.elements[v(proj(h))], x)
             ]
             K = Subgroup(Hobj.carrier, members)
-            match = None
-            for j, P in enumerate(specH.primes):
-                if P.members == K:
-                    match = j
-                    break
+            match = next((j for j, P in enumerate(specH.primes) if P.members == K), None)
             if match is None:
                 raise SheafError(
                     f"vanishing preimage at point {x!r} is not a prime of the target"

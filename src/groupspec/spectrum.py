@@ -4,24 +4,16 @@ Two primality tests coexist: the quotient test (the quotient object has no
 divisors of zero) and the elementwise test (the containment implication on
 pairs).  They agree for the commutator variant and provably diverge for the
 intersection variant, so the choice is an explicit parameter everywhere.
+Both are decided by ``GGroup.primes``, for all ideals of an object at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .fingroup import (
-    GroupError,
-    GroupTable,
-    Homomorphism,
-    QuotientGroup,
-    Subgroup,
-    normal_closure,
-    normal_subgroups,
-    quotient,
-)
-from .gobject import GGroup
+from .fingroup import GroupError, QuotientGroup, Subgroup, normal_subgroups, quotient
+from .gobject import PRIME_DEFS, VARIANTS, GGroup
 
 __all__ = [
     "Ideal",
@@ -36,9 +28,6 @@ __all__ = [
     "radical",
     "irreducible_components",
 ]
-
-VARIANTS = ("t1", "t2")
-PRIME_DEFS = ("quotient", "elementwise")
 
 
 @dataclass(frozen=True)
@@ -71,27 +60,7 @@ def quotient_object(obj: GGroup, N: Subgroup) -> tuple[GGroup, QuotientGroup]:
 
 
 def is_prime(obj: GGroup, I: Ideal, variant: str, prime_def: str) -> bool:
-    if variant not in VARIANTS:
-        raise GroupError(f"unknown variant {variant!r}")
-    if prime_def not in PRIME_DEFS:
-        raise GroupError(f"unknown prime_def {prime_def!r}")
-    if prime_def == "quotient":
-        qobj, _ = quotient_object(obj, I.members)
-        return qobj.is_integral(variant)
-    # elementwise: for all x, y the containment implication must hold; only
-    # pairs with both x and y outside I can violate it, and the condition
-    # depends on x only through its span
-    H = obj.carrier
-    outside_spans = set()
-    for x in range(H.order):
-        if x not in I.members:
-            outside_spans.add(obj.g_span(x))
-    spans = sorted(outside_spans, key=lambda s: s.members)
-    for S1 in spans:
-        for S2 in spans:
-            if obj._condition(S1, S2, variant).issubset(I.members):
-                return False
-    return True
+    return I.members in obj.primes(variant, prime_def)
 
 
 @dataclass(frozen=True)
@@ -139,9 +108,7 @@ class Spectrum:
 
     def minimal_open(self, p: int) -> frozenset:
         """Intersection of all opens containing prime #p (finite space)."""
-        if "minopen" not in self._caches:
-            self._caches["minopen"] = {}
-        cache = self._caches["minopen"]
+        cache = self._caches.setdefault("minopen", {})
         if p not in cache:
             acc = frozenset(range(len(self.primes)))
             for U in self.open_sets():
@@ -161,12 +128,12 @@ class Spectrum:
 
     def specialization_edges(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with prime_i contained in prime_j (i generizes j)."""
-        edges = []
-        for i, P in enumerate(self.primes):
-            for j, Q in enumerate(self.primes):
-                if i != j and P.members.issubset(Q.members):
-                    edges.append((i, j))
-        return edges
+        return [
+            (i, j)
+            for i, P in enumerate(self.primes)
+            for j, Q in enumerate(self.primes)
+            if i != j and P.members.issubset(Q.members)
+        ]
 
 
 @dataclass(frozen=True)
@@ -180,15 +147,8 @@ class ClosedSet:
 
 def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spectrum:
     """All prime ideals of the object, canonically ordered by (size, members)."""
-    primes = []
-    for N in normal_subgroups(obj.carrier):
-        if N.is_whole():
-            continue
-        I = Ideal(obj, N)
-        if is_prime(obj, I, variant, prime_def):
-            primes.append(I)
-    primes.sort(key=lambda I: (len(I.members), I.members.members))
-    return Spectrum(obj, variant, prime_def, tuple(primes))
+    primes = tuple(Ideal(obj, N) for N in obj.primes(variant, prime_def))
+    return Spectrum(obj, variant, prime_def, primes)
 
 
 def vanishing_set(spec: Spectrum, N: Subgroup) -> ClosedSet:
@@ -197,9 +157,7 @@ def vanishing_set(spec: Spectrum, N: Subgroup) -> ClosedSet:
         raise GroupError("subgroup of the wrong carrier")
     if not N.is_normal():
         raise GroupError("vanishing_set needs a normal subgroup")
-    members = frozenset(
-        i for i, P in enumerate(spec.primes) if N.issubset(P.members)
-    )
+    members = frozenset(i for i, P in enumerate(spec.primes) if N.issubset(P.members))
     return ClosedSet(spec, members, N)
 
 
@@ -227,11 +185,7 @@ def is_irreducible_closed(spec: Spectrum, C: frozenset) -> bool:
         return False
     closed = [c.member_indices & C for c in spec.closed_sets()]
     proper = {c for c in closed if c != C}
-    for A in proper:
-        for B in proper:
-            if A | B == C:
-                return False
-    return True
+    return not any(A | B == C for A in proper for B in proper)
 
 
 def irreducible_components(spec: Spectrum) -> list[tuple[ClosedSet, Optional[int]]]:
@@ -242,21 +196,11 @@ def irreducible_components(spec: Spectrum) -> list[tuple[ClosedSet, Optional[int
     """
     closed = spec.closed_sets()
     irr = [c for c in closed if is_irreducible_closed(spec, c.member_indices)]
-    comps = [
-        c
-        for c in irr
-        if not any(
-            c.member_indices < d.member_indices for d in irr
-        )
-    ]
+    comps = [c for c in irr if not any(c.member_indices < d.member_indices for d in irr)]
     out = []
     for c in comps:
         rad = radical(spec, c.member_indices)
-        generic = None
-        for i in sorted(c.member_indices):
-            if spec.primes[i].members == rad:
-                generic = i
-                break
-        out.append((c, generic))
+        members = sorted(c.member_indices)
+        out.append((c, next((i for i in members if spec.primes[i].members == rad), None)))
     out.sort(key=lambda t: sorted(t[0].member_indices))
     return out

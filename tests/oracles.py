@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from groupspec import freeprod as fp
-from groupspec.fingroup import GroupTable
+from groupspec.fingroup import GroupTable, Homomorphism
 from groupspec.sheaf import GluedScheme
 
 
@@ -142,6 +142,32 @@ def naive_is_prime(structure, I: frozenset, variant: str, oracle=None) -> bool:
             if oracle.condition(Sx, Sy, variant) <= I:
                 return False
     return True
+
+
+def naive_quotient_prime(structure, I: frozenset, variant: str) -> bool:
+    """Quotient definition: the quotient object H/I, with its table built
+    from least-member cosets and the composed structure map, has no divisor
+    pair, i.e. its trivial ideal passes the elementwise scan."""
+    H = structure.target
+    if len(I) == H.order:
+        return False
+    index, reps = naive_cosets(H, sorted(I))
+    Q = GroupTable([[index[int(H.mul[a, b])] for b in reps] for a in reps])
+    images = [index[x] for x in structure.image]
+    return naive_is_prime(Homomorphism(structure.source, Q, images), frozenset({Q.id}), variant)
+
+
+def naive_object_witness(structure, x: int, variant: str, oracle=None):
+    """First y != 1 whose span makes the divisor condition with the span
+    of x trivial, scanning every y in index order."""
+    H = structure.target
+    if oracle is None:
+        oracle = SpanOracle(structure)
+    Sx = oracle.span(x)
+    for y in range(H.order):
+        if y != H.id and len(oracle.condition(Sx, oracle.span(y), variant)) == 1:
+            return y
+    return None
 
 
 def naive_spectrum(structure, variant: str) -> list[frozenset]:

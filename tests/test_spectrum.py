@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupspec.fingroup import (
     GroupError,
@@ -6,6 +7,7 @@ from groupspec.fingroup import (
     Subgroup,
     alternating,
     cyclic,
+    dihedral,
     direct_product,
     normal_subgroups,
     symmetric,
@@ -22,7 +24,13 @@ from groupspec.spectrum import (
     whole_radical,
 )
 
-from oracles import naive_spectrum
+from oracles import (
+    SpanOracle,
+    naive_is_prime,
+    naive_object_witness,
+    naive_quotient_prime,
+    naive_spectrum,
+)
 
 Z2 = cyclic(2)
 S3 = symmetric(3)
@@ -154,3 +162,68 @@ def test_prime_defs_diverge_on_t2_v4():
     I = Ideal(obj, diag)
     assert is_prime(obj, I, "t2", "quotient")
     assert not is_prime(obj, I, "t2", "elementwise")
+
+
+def _check_primality_against_oracles(obj):
+    """is_prime under both variants and both definitions on every ideal,
+    is_integral and every divisor_witness, against the brute-force scans."""
+    H = obj.carrier
+    oracle = SpanOracle(obj.structure)
+    for N in normal_subgroups(H):
+        if N.is_whole():
+            continue
+        I, members = Ideal(obj, N), frozenset(N.members)
+        for variant in ("t1", "t2"):
+            want = naive_is_prime(obj.structure, members, variant, oracle)
+            assert is_prime(obj, I, variant, "elementwise") == want, (obj.label(), len(N), variant)
+            want = naive_quotient_prime(obj.structure, members, variant)
+            assert is_prime(obj, I, variant, "quotient") == want, (obj.label(), len(N), variant)
+    for variant in ("t1", "t2"):
+        trivial = frozenset({H.id})
+        assert obj.is_integral(variant) == naive_is_prime(obj.structure, trivial, variant, oracle)
+        for x in range(H.order):
+            if x != H.id:
+                want = naive_object_witness(obj.structure, x, variant, oracle)
+                assert obj.divisor_witness(x, variant) == want, (obj.label(), x, variant)
+
+
+def test_primality_engine_on_catalog_objects():
+    from groupspec.catalog import large_catalog, small_catalog
+
+    for _, obj in small_catalog():
+        _check_primality_against_oracles(obj)
+    _check_primality_against_oracles(dict(large_catalog())["Z2->S5"])
+
+
+_CARRIERS = {
+    "S4": symmetric(4),
+    "D6": dihedral(6),
+    "Z2xS3": direct_product(cyclic(2), symmetric(3)),
+}
+
+
+@st.composite
+def _cyclic_structures(draw):
+    """Z_k -> H sending the generator to an element whose order divides k."""
+    H = _CARRIERS[draw(st.sampled_from(sorted(_CARRIERS)))]
+    k = draw(st.integers(1, 12))
+    h = draw(st.sampled_from([x for x in range(H.order) if k % H.element_order(x) == 0]))
+    Zk = cyclic(k)
+    return GGroup(Zk, H, Homomorphism(Zk, H, [H.power(h, i) for i in range(k)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cyclic_structures())
+def test_primality_engine_on_cyclic_structure_maps(obj):
+    _check_primality_against_oracles(obj)
+
+
+def test_unknown_variant_and_prime_def_raise():
+    obj = identity_object(S3)
+    I = Ideal(obj, normal_subgroups(S3)[0])
+    with pytest.raises(GroupError):
+        is_prime(obj, I, "t3", "elementwise")
+    with pytest.raises(GroupError):
+        is_prime(obj, I, "t1", "naive")
+    with pytest.raises(GroupError):
+        obj.divisor_witness(1, "t3")
