@@ -17,6 +17,7 @@ from .fingroup import (
     GroupTable,
     Homomorphism,
     Subgroup,
+    TableCapError,
     alternating,
     cyclic,
     dihedral,
@@ -434,6 +435,8 @@ class Interpreter:
                     g = parse_cayley_text(fh.read())
             except OSError as e:
                 raise DslError(f"cannot read table {path!r}: {e.strerror}", st.lineno, 1) from None
+            except TableCapError:
+                raise  # a size limit, not a malformed file
             except GroupError as e:
                 raise DslError(f"table {path!r}: {e}", st.lineno, 1) from None
         self.env[d["name"]] = g

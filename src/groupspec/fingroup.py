@@ -8,6 +8,7 @@ exhaustive and deterministic.  Set-valued results are always emitted sorted.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -16,6 +17,8 @@ import numpy as np
 
 __all__ = [
     "GroupError",
+    "TableCapError",
+    "TABLE_CAP",
     "GroupTable",
     "Subgroup",
     "Homomorphism",
@@ -42,6 +45,20 @@ __all__ = [
 
 class GroupError(ValueError):
     """Raised for malformed tables, non-normal subgroups, bad indices."""
+
+
+class TableCapError(GroupError):
+    """Raised before a group too large to tabulate is built."""
+
+
+# the largest order whose n x n table is built: 2**14 gives an int16 table
+# of 512 MB, and holds A5xA5 (3600) and S7 (5040)
+TABLE_CAP = 2 ** 14
+
+
+def _check_order(order: int, name: str) -> None:
+    if order > TABLE_CAP:
+        raise TableCapError(f"{name}: order {order} exceeds the table cap of {TABLE_CAP}")
 
 
 def _dtype_for(n: int):
@@ -103,17 +120,12 @@ class GroupTable:
         return inv
 
     def _check_associative(self) -> None:
-        """Light's test: (a*g)*b == a*(g*b) for all a, b and each g of a
+        """Light's test: (a*g)*b == a*(g*b) for all a, b and each g of the
         greedy generating set, O(n^2 * |gens|).  Exact: the middle elements
         that pass are closed under products, and every element is a product
         of the generators."""
-        gens, span = [], Subgroup(self, [self.id])
-        for x in range(self.order):
-            if x not in span:
-                gens.append(x)
-                span = self.generated_subgroup(gens)
         m = self.mul
-        for g in gens:
+        for g in self.generators:
             if not np.array_equal(m[m[:, g]], m[:, m[g]]):
                 raise GroupError("table is not associative")
 
@@ -163,35 +175,55 @@ class GroupTable:
     # -- structure helpers -------------------------------------------------
 
     def generated_subgroup(self, gens: Iterable[int]) -> "Subgroup":
-        """Subgroup generated by gens (closure under multiplication).
+        """Subgroup generated by gens (closure under multiplication)."""
+        return Subgroup(self, np.flatnonzero(self._close(gens)[0]))
 
-        A small generating subsequence is extracted first; subgroup chains
-        have logarithmic length, which keeps the closure products narrow.
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Greedy generating set: each generator is the least element
+        outside the subgroup generated by the ones before it."""
+        return tuple(self._close(range(self.order))[1])
+
+    def _close(self, gens: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+        """Member mask of the subgroup generated by gens, and the greedy
+        subsequence of gens that generates it (Dimino's coset closure).
+
+        The least candidate outside the current subgroup K becomes a
+        generator, and the enlarged group is walked as a union of right
+        cosets K*r: from r = id, y = r*s for each generator s so far is a
+        new representative when it lies in no coset found yet, and its
+        coset K*y = (K*r)*s is the block of r mapped through the column of
+        s.  The union is then closed under right multiplication by every
+        generator.  Each member is a product of generators even in a table
+        that is not associative, which Light's test relies on.
         """
-        cand = np.unique(np.asarray(list(gens) + [self.id], dtype=np.int64))
-        member = np.zeros(self.order, dtype=bool)
-        member[self.id] = True
+        cand = sorted(set(gens.tolist() if isinstance(gens, np.ndarray) else gens))
+        member = bytearray(self.order)
+        member[self.id] = 1
+        mask = np.frombuffer(member, dtype=bool)  # a view of member
+        K = [self.id]
         small: list[int] = []
-        while True:
-            outside = cand[~member[cand]]
-            if outside.size == 0:
-                break
-            g = int(outside[0])
+        cols: list[list[int]] = []  # cols[i][x] = x * small[i]
+        for g in cand:
+            if member[g]:
+                continue
             small.append(g)
-            member[g] = True
-            # every element is a word in the small generators, so closing
-            # under right-multiplication by them from the current members
-            # rebuilds the enlarged subgroup
-            frontier = np.flatnonzero(member)
-            sm = np.asarray(small)
-            while frontier.size:
-                prods = np.unique(self.mul[np.ix_(frontier, sm)])
-                new = prods[~member[prods]]
-                member[new] = True
-                frontier = new
-            if member.all():
+            cols.append(self.mul[:, g].tolist())
+            reps, blocks = [self.id], [K]
+            for r, block in zip(reps, blocks):  # both grow while walked
+                for col in cols:
+                    if not member[col[r]]:
+                        new = [col[x] for x in block]
+                        for x in new:
+                            member[x] = 1
+                        reps.append(col[r])
+                        blocks.append(new)
+            # the union of the blocks; they overlap only in a table that
+            # is not a group
+            K = np.flatnonzero(mask).tolist()
+            if len(K) == self.order:
                 break
-        return Subgroup(self, np.flatnonzero(member))
+        return mask, small
 
     def conjugation_orbits(self, by: Iterable[int]) -> tuple[list[np.ndarray], np.ndarray]:
         """Orbits of conjugation by the subgroup ``by`` (sorted arrays, by
@@ -236,15 +268,17 @@ class Subgroup:
     _hash: int = field(compare=False, repr=False, default=0)
 
     def __init__(self, parent: GroupTable, members: Iterable[int]):
-        arr = np.unique(np.asarray(list(members), dtype=np.int64))
+        if not isinstance(members, np.ndarray):
+            members = np.fromiter(members, dtype=np.int64)
+        arr = np.unique(members)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", tuple(int(x) for x in arr))
+        object.__setattr__(self, "members", tuple(arr.tolist()))
         # tuples do not cache their hash, and subgroups key many caches
         object.__setattr__(self, "_hash", hash((id(parent), self.members)))
         mask = np.zeros(parent.order, dtype=bool)
         mask[arr] = True
         object.__setattr__(self, "_mask", mask)
-        if parent.id not in self.members:
+        if not mask[parent.id]:
             raise GroupError("subgroup must contain the identity")
 
     @property
@@ -317,11 +351,15 @@ class Homomorphism:
         return self.image[x]
 
     def verify(self) -> None:
+        """f(1) = 1 and f(g*x) = f(g)*f(x) for every generator g of the
+        source and every x, O(n * |gens|).  Exact: by induction on the
+        length of a word in the generators, f(a*x) = f(a)*f(x) for all a."""
         img = np.asarray(self.image)
         if img[self.source.id] != self.target.id:
             raise GroupError("identity not preserved")
-        lhs = img[self.source.mul]
-        rhs = self.target.mul[np.ix_(img, img)]
+        gens = list(self.source.generators)
+        lhs = img[self.source.mul[gens]]
+        rhs = self.target.mul[np.ix_(img[gens], img)]
         if not np.array_equal(lhs, rhs):
             raise GroupError("map is not a homomorphism")
 
@@ -438,6 +476,29 @@ def normal_subgroups(H: GroupTable) -> tuple[Subgroup, ...]:
     return tuple(sorted(found.values(), key=lambda s: (len(s), s.members)))
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a (rows along the last axis), for any width."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[-1]))).ravel()
+
+
+def _row_index(rows: np.ndarray):
+    """A lookup from arrays of rows like ``rows`` to their indices in
+    ``rows``, by sorted row keys; a row that is not in ``rows`` raises."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    def find(a: np.ndarray) -> np.ndarray:
+        want = _row_keys(a)
+        pos = np.minimum(np.searchsorted(ordered, want), len(ordered) - 1)
+        if not (ordered[pos] == want).all():
+            raise GroupError("pointwise product is not a row")
+        return order[pos]
+
+    return find
+
+
 def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Cayley table of distinct tuples under the pointwise product.
 
@@ -457,20 +518,10 @@ def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]
     flat = np.concatenate([t.mul.ravel() for t in distinct.values()]).astype(np.int64)
     off = np.asarray([start[id(t)] for t in factors])
     left = off + R * np.asarray([t.order for t in factors])
-
-    def keys(a: np.ndarray) -> np.ndarray:  # one opaque key per row
-        return np.ascontiguousarray(a).view(np.dtype((np.void, 8 * k))).ravel()
-
-    row_keys = keys(R)
-    order = np.argsort(row_keys)
-    sorted_keys = row_keys[order]
+    find = _row_index(R)
     table = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        want = keys(flat[left[i] + R])
-        pos = np.minimum(np.searchsorted(sorted_keys, want), n - 1)
-        if not (sorted_keys[pos] == want).all():
-            raise GroupError("pointwise product is not a row")
-        table[i] = order[pos]
+        table[i] = find(flat[left[i] + R])
     return table
 
 
@@ -486,18 +537,26 @@ def is_simple(H: GroupTable) -> bool:
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise GroupError("cyclic(n) needs n >= 1")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    _check_order(n, f"Z{n}")
+    r = np.arange(n)
+    mul = (r[:, None] + r[None, :]) % n
     return GroupTable(mul, labels=[str(i) for i in range(n)], name=f"Z{n}", validate=False)
 
 
 def _perm_group(perms: list[tuple[int, ...]], name: str) -> GroupTable:
+    """Table of a set of permutations closed under composition, elements in
+    sorted order: p*q sends k to p[q[k]].  Whole blocks of rows compose at
+    once, P[block][:, P], and each product is ranked by its row key."""
     perms = sorted(set(perms))
-    index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
+    # a degree-0 permutation () stands in as the one fixed point (0,)
+    P = np.array([p or (0,) for p in perms])
+    P = P.astype(np.min_scalar_type(P.shape[1]))
+    find = _row_index(P)
     mul = np.empty((n, n), dtype=_dtype_for(n))
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mul[i, j] = index[tuple(p[k] for k in q)]
+    step = max(1, 2 ** 16 // n)  # rows per block: about 2**16 products
+    for i in range(0, n, step):
+        mul[i : i + step] = find(P[i : i + step][:, P]).reshape(-1, n)
     return GroupTable(mul, labels=[_cycle_label(p) for p in perms], name=name, validate=False)
 
 
@@ -520,7 +579,8 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 
 def symmetric(n: int) -> GroupTable:
-    return _perm_group([p for p in itertools.permutations(range(n))], f"S{n}")
+    _check_order(math.factorial(max(n, 0)), f"S{n}")
+    return _perm_group(list(itertools.permutations(range(n))), f"S{n}")
 
 
 def _parity(p: tuple[int, ...]) -> int:
@@ -539,6 +599,7 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def alternating(n: int) -> GroupTable:
+    _check_order(max(math.factorial(max(n, 0)) // 2, 1), f"A{n}")
     return _perm_group(
         [p for p in itertools.permutations(range(n)) if _parity(p) == 0], f"A{n}"
     )
@@ -548,20 +609,14 @@ def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n (symmetries of the n-gon)."""
     if n < 1:
         raise GroupError("dihedral(n) needs n >= 1")
-    # element (r, s): rotation by r composed with s reflections
-    elems = [(r, s) for s in range(2) for r in range(n)]
-    index = {e: i for i, e in enumerate(elems)}
-
-    def mul(a, b):
-        r1, s1 = a
-        r2, s2 = b
-        if s1 == 0:
-            return ((r1 + r2) % n, s2)
-        return ((r1 - r2) % n, 1 - s2)
-
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    labels = [("r%d" % r if s == 0 else "sr%d" % r) for r, s in elems]
-    return GroupTable(table, labels=labels, name=f"D{n}", validate=False)
+    _check_order(2 * n, f"D{n}")
+    # element s*n + r: rotation by r composed with s reflections;
+    # (r1, s1)(r2, s2) = (r1 + r2, s2) if s1 = 0, else (r1 - r2, 1 - s2)
+    r, s = np.arange(2 * n) % n, np.arange(2 * n) // n
+    rot = np.where(s[:, None] == 0, r[:, None] + r[None, :], r[:, None] - r[None, :]) % n
+    mul = (s[:, None] ^ s[None, :]) * n + rot
+    labels = ["r%d" % i for i in range(n)] + ["sr%d" % i for i in range(n)]
+    return GroupTable(mul, labels=labels, name=f"D{n}", validate=False)
 
 
 def quaternion8() -> GroupTable:
@@ -601,6 +656,7 @@ def quaternion8() -> GroupTable:
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     n, m = A.order, B.order
+    _check_order(n * m, f"{A.name}x{B.name}")
     dt = _dtype_for(n * m)  # every entry is below n*m
     big = A.mul.astype(dt)[:, None, :, None] * m + B.mul.astype(dt)[None, :, None, :]
     mul = big.reshape(n * m, n * m)
@@ -624,6 +680,8 @@ def from_permutations(degree: int, gens: Sequence[tuple[int, ...]], name: str = 
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
+            if len(seen) > TABLE_CAP:
+                raise TableCapError(f"{name}: order above the table cap of {TABLE_CAP}")
         frontier = nxt
     return _perm_group(list(seen), name)
 
@@ -640,6 +698,7 @@ def parse_cayley_text(text: str) -> GroupTable:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise GroupError("malformed order line") from None
+    _check_order(n, "table")
     if len(lines) != n + 1:
         raise GroupError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []

@@ -321,3 +321,95 @@ def naive_function_table(F) -> list[list[int]]:
         [where[tuple(int(G.mul[a, b]) for a, b in zip(s, t))] for t in F.elements]
         for s in F.elements
     ]
+
+
+def naive_greedy_generators(G: GroupTable) -> list[int]:
+    """The greedy generating set: scan elements in order and keep each one
+    outside the closure of those kept so far."""
+    gens: list[int] = []
+    span = frozenset({G.id})
+    for x in range(G.order):
+        if x not in span:
+            gens.append(x)
+            span = naive_generated(G, gens)
+    return gens
+
+
+def naive_is_homomorphism(f: Homomorphism) -> bool:
+    """f(a*b) == f(a)*f(b) for every pair, the full n^2 check."""
+    img = np.asarray(f.image, dtype=np.int64)
+    return bool(np.array_equal(img[f.source.mul], f.target.mul[np.ix_(img, img)]))
+
+
+def naive_cycle_label(p: tuple) -> str:
+    """1-based cycle notation of a permutation image tuple, e for identity."""
+    out, seen = [], set()
+    for i in range(len(p)):
+        if i in seen or p[i] == i:
+            continue
+        cyc, j = [i], p[i]
+        while j != i:
+            cyc.append(j)
+            j = p[j]
+        seen.update(cyc)
+        out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
+    return "".join(out) or "e"
+
+
+def naive_perm_closure(degree: int, gens) -> list[tuple]:
+    """Every product of the generators, by breadth-first search from the
+    identity; p*q sends k to p[q[k]]."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[k]] for k in range(degree))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return sorted(seen)
+
+
+def naive_perm_table(perms) -> GroupTable:
+    """Table of a set of permutations closed under composition, elements in
+    sorted order, filled one cell at a time."""
+    perms = sorted(set(perms))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
+    return GroupTable(mul, labels=[naive_cycle_label(p) for p in perms], validate=False)
+
+
+def naive_cyclic(n: int) -> GroupTable:
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return GroupTable(mul, labels=[str(i) for i in range(n)], validate=False)
+
+
+def naive_dihedral(n: int) -> GroupTable:
+    """Order 2n; element (r, s) is rotation by r composed with s
+    reflections, listed with all rotations first."""
+    elems = [(r, s) for s in range(2) for r in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(a, b):
+        (r1, s1), (r2, s2) = a, b
+        return ((r1 + r2) % n, s2) if s1 == 0 else ((r1 - r2) % n, 1 - s2)
+
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    labels = [("r%d" % r if s == 0 else "sr%d" % r) for r, s in elems]
+    return GroupTable(table, labels=labels, validate=False)
+
+
+def naive_direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
+    """Pairs (a, b) numbered a*|B| + b, multiplied componentwise, one row
+    per pair."""
+    m = B.order
+    rows = [
+        (A.mul[a].astype(np.int64)[:, None] * m + B.mul[b][None, :]).ravel()
+        for a in range(A.order)
+        for b in range(m)
+    ]
+    labels = [f"({x},{y})" for x in A.labels for y in B.labels]
+    return GroupTable(np.array(rows), labels=labels, validate=False)

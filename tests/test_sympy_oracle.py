@@ -48,3 +48,17 @@ def test_permutation_groups_match_sympy(case):
         sub = H.generated_subgroup([H.labels.index(_label(g)) for g in rest])
         assert sub.is_normal() == PermutationGroup(rest).is_normal(P)
         assert len(normal_closure(H, sub.members)) == P.normal_closure(PermutationGroup(rest)).order()
+
+
+@given(permutation_generators(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_subgroup_orders_match_sympy(case, data):
+    degree, gens = case
+    H = from_permutations(degree, gens)
+    P = PermutationGroup([Permutation(list(g)) for g in gens])
+    index = {label: i for i, label in enumerate(H.labels)}
+    elements = sorted(P.elements, key=_label)
+    drawn = data.draw(st.lists(st.sampled_from(elements), max_size=4))
+    sub = H.generated_subgroup(index[_label(p)] for p in drawn)
+    want = PermutationGroup(drawn).order() if drawn else 1
+    assert len(sub) == want
