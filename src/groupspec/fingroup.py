@@ -84,7 +84,7 @@ class GroupTable:
         if mul.min() < 0 or mul.max() >= n:
             raise GroupError("table entries out of range")
         self.order: int = int(n)
-        self.mul: np.ndarray = mul.astype(_dtype_for(n))
+        self.mul: np.ndarray = mul.astype(_dtype_for(n), copy=False)
         self.name = name or f"group{n}"
         self.labels: list[str] = (
             [str(x) for x in labels] if labels is not None else [f"g{i}" for i in range(n)]
@@ -509,7 +509,7 @@ def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]
     """
     n, k = len(rows), len(factors)
     if k == 0:  # the one empty row
-        return np.zeros((n, n), dtype=np.int64)
+        return np.zeros((n, n), dtype=_dtype_for(n))
     R = np.asarray(rows, dtype=np.int64)
     # each distinct factor table flattened once; a*b in column c is at
     # flat[off[c] + a * order_c + b]
@@ -519,7 +519,7 @@ def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]
     off = np.asarray([start[id(t)] for t in factors])
     left = off + R * np.asarray([t.order for t in factors])
     find = _row_index(R)
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=_dtype_for(n))
     for i in range(n):
         table[i] = find(flat[left[i] + R])
     return table

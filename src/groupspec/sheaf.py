@@ -45,7 +45,6 @@ __all__ = [
     "induced_morphism",
     "embed_quotient",
     "glue",
-    "identity_gluing_iso",
     "scheme_hom_correspondence",
     "noetherian_sections",
     "check_sheaf_axioms",
@@ -101,7 +100,7 @@ class Scheme(Protocol):
     def restrict(self, s: SchemeSection, U: frozenset) -> SchemeSection: ...
     def constant_section(self, U: frozenset, g: int) -> SchemeSection: ...
     def stalk(self, p) -> tuple["SectionGroup", dict]: ...
-    def charts(self) -> list: ...
+    def charts(self) -> list["AffineScheme"]: ...
     def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]: ...
 
 
@@ -140,12 +139,14 @@ class SectionGroup:
     def constant_index(self, g: int) -> int:
         return self.index_of(self.scheme.constant_section(self.open_set, g))
 
-    def as_ggroup(self, cap: int = SECTION_TABLE_CAP) -> GGroup:
+    def as_ggroup(self) -> GGroup:
         """Materialize the multiplication table; only for small groups."""
         if self._ggroup is None:
             n = len(self.elements)
-            if n > cap:
-                raise SheafError(f"section group of order {n} exceeds table cap {cap}")
+            if n > SECTION_TABLE_CAP:
+                raise SheafError(
+                    f"section group of order {n} exceeds table cap {SECTION_TABLE_CAP}"
+                )
             factors = [self.scheme.point_quotient(p).table for p in sorted(self.open_set)]
             try:
                 mul = pointwise_table(factors, [s.values for s in self.elements])
@@ -315,130 +316,55 @@ class AffineScheme:
         }
         return group, report
 
-    def charts(self) -> list[tuple[frozenset, "AffineScheme", dict]]:
-        return [(frozenset(self.points), self, {p: p for p in self.points})]
+    def charts(self) -> list["AffineScheme"]:
+        return [self]
 
 
 # -- glued schemes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GluingIso:
-    """Point bijection U1 -> U2 with a section transport realizing it."""
-
-    point_map: dict  # U1 point -> U2 point
-    transport: Callable  # SchemeSection on X1 over W <= U1 -> section on X2
-
-
-def identity_gluing_iso(X1: AffineScheme, X2: AffineScheme, U1: frozenset, U2: frozenset) -> GluingIso:
-    """The identity identification of equal opens in equal spectra."""
-    if not (isinstance(X1, AffineScheme) and isinstance(X2, AffineScheme)):
-        raise SheafError("identity gluing needs two affine schemes")
-    s1, s2 = X1.spectrum, X2.spectrum
-    if (
-        s1.object.carrier is not s2.object.carrier
-        or [P.members for P in s1.primes] != [P.members for P in s2.primes]
-        or frozenset(U1) != frozenset(U2)
-    ):
-        raise SheafError("identity gluing needs equal spectra and equal opens")
-    pm = {p: p for p in U1}
-
-    def transport(s: SchemeSection) -> SchemeSection:
-        return SchemeSection(s.open_set, s.values, dict(s.certificates))
-
-    return GluingIso(pm, transport)
-
-
 class GluedScheme:
-    """Pushout of two schemes along an isomorphism of opens.
+    """Two affine schemes glued by the identity along a common open U.
 
     Points are labeled ("L", p) for the first piece and ("R", q) for the
-    second; identified points keep their "L" label.  A set is open iff both
+    second; the points of U keep their "L" label.  A set is open iff both
     its traces are open (the quotient topology).
     """
 
-    def __init__(self, X1: Scheme, X2: Scheme, U1: frozenset, U2: frozenset, iso: GluingIso):
+    def __init__(self, X1: AffineScheme, X2: AffineScheme, U: frozenset):
         self.X1, self.X2 = X1, X2
-        self.U1, self.U2 = frozenset(U1), frozenset(U2)
-        self.iso = iso
+        self.U = frozenset(U)
         self.base = X1.base
-        if X2.base is not X1.base:
-            raise SheafError("gluing schemes over different bases")
-        if set(iso.point_map) != set(self.U1) or set(iso.point_map.values()) != set(self.U2):
-            raise SheafError("gluing map is not a bijection U1 -> U2")
-        self._inv = {v: k for k, v in iso.point_map.items()}
         self.points = tuple(
-            [("L", p) for p in X1.points]
-            + [("R", q) for q in X2.points if q not in self._inv]
+            [("L", p) for p in X1.points] + [("R", q) for q in X2.points if q not in self.U]
         )
         self._minimal_opens: dict = {}
         self._sections: dict[frozenset, SectionGroup] = {}
-        self._verify_iso()
 
     def label(self) -> str:
         return f"Glued({self.X1.label()},{self.X2.label()})"
-
-    def _verify_iso(self) -> None:
-        """The gluing data must be a homeomorphism with sheaf transport."""
-        pm = self.iso.point_map
-        opens1 = {W & self.U1 for W in self.X1.opens()}
-        opens2 = {W & self.U2 for W in self.X2.opens()}
-        for W in opens1:
-            if frozenset(pm[p] for p in W) not in opens2:
-                raise SheafError("gluing map is not open")
-        for W in opens2:
-            if frozenset(self._inv[q] for q in W) not in opens1:
-                raise SheafError("gluing map is not continuous")
-        for W in sorted(opens1, key=_open_order):
-            G1 = self.X1.section_group(self._extend_open(self.X1, W))
-            # transported sections must be exactly the sections on the image
-            img = frozenset(pm[p] for p in W)
-            full2 = self._extend_open(self.X2, img)
-            G2 = self.X2.section_group(full2)
-            seen = set()
-            for s in G1.elements:
-                t = self.iso.transport(self.X1.restrict(s, W))
-                if t.open_set != img or self.X2._valid_values(img, _value_map(t)) is None:
-                    raise SheafError("transported section is not a section")
-                seen.add(t.values)
-            expect = {self.X2.restrict(t, img).values for t in G2.elements}
-            restricted = {self.X1.restrict(s, W).values for s in G1.elements}
-            if len(restricted) != len(seen) or not seen <= expect:
-                raise SheafError("gluing transport is not an isomorphism of sections")
-
-    @staticmethod
-    def _extend_open(X, W: frozenset) -> frozenset:
-        """Smallest open of X containing W (W is open in an open subspace)."""
-        acc = frozenset(W)
-        for p in W:
-            acc |= X.minimal_open(p)
-        return acc
 
     # -- topology ----------------------------------------------------------
 
     def _trace(self, W: frozenset) -> tuple[frozenset, frozenset]:
         left = frozenset(p for side, p in W if side == "L")
-        right = frozenset(p for side, p in W if side == "R")
-        # identified points also belong to the right piece
-        right |= frozenset(
-            self.iso.point_map[p] for p in left if p in self.iso.point_map
-        )
+        # the points of U also belong to the right piece
+        right = frozenset(p for side, p in W if side == "R") | (left & self.U)
         return left, right
 
     @cached_property
     def _opens(self) -> list[frozenset]:
         """Each open glues its two traces: an open O1 of X1 and an open O2
-        of X2 with pm(O1 & U1) == O2 & U2.  So chart opens are paired by
-        their traces instead of testing every subset of points."""
-        pm = self.iso.point_map
+        of X2 with O1 & U == O2 & U.  So chart opens are paired by their
+        traces instead of testing every subset of points."""
         by_trace: dict = {}
         for O2 in self.X2.opens():
-            by_trace.setdefault(O2 & self.U2, []).append(O2)
+            by_trace.setdefault(O2 & self.U, []).append(O2)
         out = []
         for O1 in self.X1.opens():
             left = [("L", p) for p in O1]
-            for O2 in by_trace.get(frozenset(pm[p] for p in O1 & self.U1), ()):
-                out.append(frozenset(left + [("R", q) for q in O2 - self.U2]))
+            for O2 in by_trace.get(O1 & self.U, ()):
+                out.append(frozenset(left + [("R", q) for q in O2 - self.U]))
         return sorted(out, key=_open_order)
 
     @cached_property
@@ -479,10 +405,8 @@ class GluedScheme:
         if certs is None:
             return None
         s1 = SchemeSection(l, tuple(left[p] for p in sorted(l)), certs)
-        shared = frozenset(p for p in l if p in self.iso.point_map)
-        right = _value_map(self.iso.transport(self.X1.restrict(s1, shared)))
-        right.update((q, v) for (side, q), v in vals.items() if side == "R")
-        certs = self.X2._valid_values(r, right) if set(right) == r else None
+        right = {q: left[q] if q in self.U else vals[("R", q)] for q in r}
+        certs = self.X2._valid_values(r, right)
         if certs is None:
             return None
         return {"left": s1, "right": SchemeSection(r, tuple(right[q] for q in sorted(r)), certs)}
@@ -493,19 +417,16 @@ class GluedScheme:
             if not self.is_open(W):
                 raise SheafError(f"{sorted(W, key=repr)} is not open")
             l, r = self._trace(W)
-            G1 = self.X1.section_group(l)
-            G2 = self.X2.section_group(r)
-            shared = frozenset(p for p in l if p in self.iso.point_map)
-            img = frozenset(self.iso.point_map[p] for p in shared)
-            # hash join on the values over the identified points
+            shared = l & self.U
+            # hash join on the values over the shared points
             by_shared: dict = {}
-            for s2 in G2.elements:
-                by_shared.setdefault(self.X2.restrict(s2, img).values, []).append(s2)
-            out = []
-            for s1 in G1.elements:
-                t = self.iso.transport(self.X1.restrict(s1, shared))
-                for s2 in by_shared.get(t.values, ()):
-                    out.append(self._assemble(W, s1, s2))
+            for s2 in self.X2.section_group(r).elements:
+                by_shared.setdefault(self.X2.restrict(s2, shared).values, []).append(s2)
+            out = [
+                self._assemble(W, s1, s2)
+                for s1 in self.X1.section_group(l).elements
+                for s2 in by_shared.get(self.X1.restrict(s1, shared).values, ())
+            ]
             self._sections[W] = SectionGroup(self, W, out)
         return self._sections[W]
 
@@ -530,25 +451,35 @@ class GluedScheme:
         inner, report = (self.X1 if side == "L" else self.X2).stalk(p)
         return group, {"chart_stalk_order": len(inner), **report}
 
-    def charts(self):
-        left = frozenset(("L", p) for p in self.X1.points)
-        right_map = {}
-        for q in self.X2.points:
-            pt = ("L", self._inv[q]) if q in self._inv else ("R", q)
-            right_map[pt] = q
-        return [
-            (left, self.X1, {("L", p): p for p in self.X1.points}),
-            (frozenset(right_map), self.X2, right_map),
-        ]
+    def charts(self) -> list[AffineScheme]:
+        return [self.X1, self.X2]
 
 
-def glue(X1, X2, U1: Iterable, U2: Iterable, iso: Optional[GluingIso] = None) -> GluedScheme:
+def glue(X1, X2, U1: Iterable, U2: Iterable) -> GluedScheme:
+    """Glue two affine schemes by the identity along U1 == U2.
+
+    Both need the same carrier and the same primes.  Then they have the
+    same closed sets, so the traces of their opens on U are one family;
+    and the same local images, so a section of one chart over an open
+    inside U is a section of the other, with the same row.  The identity
+    is thus a homeomorphism of the opens with an isomorphism of sections,
+    and nothing further needs checking.
+    """
     U1, U2 = frozenset(U1), frozenset(U2)
     if not X1.is_open(U1) or not X2.is_open(U2):
         raise SheafError("gluing opens must be open")
-    if iso is None:
-        iso = identity_gluing_iso(X1, X2, U1, U2)
-    return GluedScheme(X1, X2, U1, U2, iso)
+    if not (isinstance(X1, AffineScheme) and isinstance(X2, AffineScheme)):
+        raise SheafError("identity gluing needs two affine schemes")
+    s1, s2 = X1.spectrum, X2.spectrum
+    if (
+        s1.object.carrier is not s2.object.carrier
+        or [P.members for P in s1.primes] != [P.members for P in s2.primes]
+        or U1 != U2
+    ):
+        raise SheafError("identity gluing needs equal spectra and equal opens")
+    if X2.base is not X1.base:
+        raise SheafError("gluing schemes over different bases")
+    return GluedScheme(X1, X2, U1)
 
 
 # -- morphisms -------------------------------------------------------------
@@ -562,7 +493,6 @@ class SchemeMorphism:
     target: object
     point_map: dict  # source point -> target point
     pullback: Callable  # section of target over U -> section of source
-    algebraic: Optional[GMorphism] = None  # carrier-level map when available
 
     def preimage(self, U: Iterable) -> frozenset:
         U = frozenset(U)
@@ -637,7 +567,7 @@ def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise")
         row = tuple(X.point_quotient(p).projection(certs[p]) for p in sorted(W))
         return SchemeSection(W, row, certs)
 
-    m = SchemeMorphism(X, Y, pm, pullback, algebraic=f)
+    m = SchemeMorphism(X, Y, pm, pullback)
     m.verify()
     return m
 
@@ -846,7 +776,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
     """
     from .spectrum import is_irreducible_closed, quotient_object
 
-    for (_, chart, _) in X.charts():
+    for chart in X.charts():
         cs = chart.spectrum
         if not is_irreducible_closed(cs, frozenset(range(len(cs.primes)))):
             raise SheafError("a chart is not irreducible")
@@ -908,7 +838,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
                 raise SheafError("rebuilt pullback is not a section")
             return GW.elements[i]
 
-        m = SchemeMorphism(X, Y, pm, pullback, algebraic=None)
+        m = SchemeMorphism(X, Y, pm, pullback)
         m.verify()
         return m
 

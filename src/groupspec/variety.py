@@ -9,11 +9,10 @@ through the finite function-group quotient.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fingroup import GroupTable, Homomorphism, Subgroup, pointwise_table
+from .fingroup import GroupTable, Homomorphism, Subgroup, _check_order, pointwise_table
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
 from .gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
 
@@ -29,14 +28,12 @@ __all__ = [
 ]
 
 DEFAULT_PROBE_LEN = 3
+# the most elements a coordinate-group closure may reach
+CLOSURE_CAP = 20000
 
 
 class VarietyError(ValueError):
     pass
-
-
-def _closure_cap() -> int:
-    return int(os.environ.get("GROUPSPEC_CLOSURE_CAP", "20000"))
 
 
 @dataclass(frozen=True)
@@ -106,10 +103,11 @@ class FunctionGroup:
     def as_ggroup(self) -> GGroup:
         """The function group as an object over G via the constants."""
         G = self.variety.group
+        name = f"O({G.name}^{self.variety.nvars})"
+        _check_order(len(self.elements), name)  # before any table is built
         index = {v: i for i, v in enumerate(self.elements)}
         mul = pointwise_table([G] * len(self.variety.points), self.elements)
-        table = GroupTable(mul, name=f"O({self.variety.group.name}^{self.variety.nvars})",
-                           validate=False)
+        table = GroupTable(mul, name=name, validate=False)
         structure = Homomorphism(G, table, [index[self.constant(g)] for g in range(G.order)])
         return GGroup(G, table, structure)
 
@@ -133,7 +131,6 @@ def coordinate_group(V: VarietySet) -> FunctionGroup:
     for vals, w in gens:
         if vals not in witnesses or w.length() < witnesses[vals].length():
             witnesses[vals] = w
-    cap = _closure_cap()
     frontier = list(witnesses)
     while frontier:
         new = []
@@ -143,9 +140,9 @@ def coordinate_group(V: VarietySet) -> FunctionGroup:
                 if prod not in witnesses:
                     witnesses[prod] = concat(witnesses[vals], gw)
                     new.append(prod)
-                    if len(witnesses) > cap:
+                    if len(witnesses) > CLOSURE_CAP:
                         raise VarietyError(
-                            f"function-group closure exceeded cap {cap}"
+                            f"function-group closure exceeded cap {CLOSURE_CAP}"
                         )
         frontier = new
     elements = tuple(sorted(witnesses))

@@ -271,7 +271,7 @@ def naive_section_group(scheme, U) -> list[tuple]:
 
 
 def _naive_glued_sections(D, W: frozenset) -> list[tuple]:
-    pm = D.iso.point_map
+    pm = {p: p for p in D.U}
     left = frozenset(p for side, p in W if side == "L")
     right = frozenset(q for side, q in W if side == "R") | {pm[p] for p in left if p in pm}
     out = []

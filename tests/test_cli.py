@@ -180,6 +180,29 @@ def test_run_identity_glue_of_glued_scheme_exit_2(tmp_path):
     assert "identity gluing needs two affine schemes" in err
 
 
+_S5 = "group S5 = sym(5)\nspec S5 --variant t2 as S\n"
+
+
+@pytest.mark.parametrize("program, message", [
+    (_S5 + "glue S 1 S 1\n", "gluing opens must be open"),
+    (_S5 + "glue S 0 S 0,1\n", "identity gluing needs equal spectra and equal opens"),
+    (_S5 + "spec S5 --variant t1 as T\nglue S empty T empty\n",
+     "identity gluing needs equal spectra and equal opens"),
+    (_S5 + "group A5 = alt(5)\nspec A5 --variant t2 as T\nglue S empty T empty\n",
+     "identity gluing needs equal spectra and equal opens"),
+    ("group S5 = sym(5)\ngroup Z2 = cyclic(2)\ngroup Z3 = cyclic(3)\n"
+     # 24 is (1 2), and 30, 48 are (1 2 3), (1 3 2) in S5's element order
+     "ggroup X = (Z2 -> S5) via [0, 24]\nggroup Y = (Z3 -> S5) via [0, 30, 48]\n"
+     "spec X --variant t2 as SX\nspec Y --variant t2 as SY\nglue SX empty SY empty\n",
+     "gluing schemes over different bases"),
+])
+def test_run_rejected_glue_exit_2(program, message, tmp_path):
+    code, err = _run_program_process(program, tmp_path)
+    assert code == 2
+    _assert_one_line(err)
+    assert message in err
+
+
 def test_run_non_associative_large_table_exit_1(tmp_path):
     from oracles import swapped_cyclic
 

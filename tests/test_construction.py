@@ -180,3 +180,43 @@ def test_cli_exits_2_on_a_group_over_the_cap(program, tmp_path, capsys, monkeypa
     assert main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "the table cap" in err
+
+
+# -- table memory ----------------------------------------------------------
+
+
+def test_tables_are_not_copied(monkeypatch):
+    from groupspec import sheaf, variety
+    from groupspec.fingroup import GroupTable
+    from groupspec.gobject import identity_object
+    from groupspec.spectrum import spectrum
+
+    mul = cyclic(12).mul.copy()
+    assert np.shares_memory(GroupTable(mul, validate=False).mul, mul)
+    built = []
+
+    def keep(factors, rows):
+        built.append(fingroup.pointwise_table(factors, rows))
+        return built[-1]
+
+    monkeypatch.setattr(sheaf, "pointwise_table", keep)
+    monkeypatch.setattr(variety, "pointwise_table", keep)
+    X = sheaf.AffineScheme(spectrum(identity_object(symmetric(4), "S4"), "t2"))
+    tables = [
+        X.section_group(frozenset(X.points)).as_ggroup().carrier.mul,
+        variety.coordinate_group(variety.variety_of(cyclic(3), 1, [])).as_ggroup().carrier.mul,
+    ]
+    assert len(built) == 2
+    for table, raw in zip(tables, built):
+        assert raw.dtype == np.int16
+        assert np.shares_memory(table, raw)
+
+
+def test_function_group_over_the_cap_refuses_before_building(request):
+    from groupspec.variety import FunctionGroup, variety_of
+
+    V = variety_of(cyclic(2), 1, [])
+    F = FunctionGroup(V, tuple((i % 2,) for i in range(TABLE_CAP + 1)), {})
+    request.getfixturevalue("no_building")
+    with pytest.raises(TableCapError, match=f"O\\(Z2\\^1\\): order {TABLE_CAP + 1} exceeds"):
+        F.as_ggroup()

@@ -98,7 +98,7 @@ def test_glued_section_groups_match_naive_oracle():
 def test_glued_opens_match_subset_enumeration():
     for D in _glued_examples():
         opens1, opens2 = set(D.X1.opens()), set(D.X2.opens())
-        pm = D.iso.point_map
+        pm = {p: p for p in D.U}
         brute = []
         for r in range(len(D.points) + 1):
             for W in itertools.combinations(D.points, r):
@@ -272,3 +272,30 @@ def test_scheme_hom_correspondence_affine_and_glued():
     # the unique morphism collapses the doubled closed point
     pm = rep["Psi"](0).point_map
     assert pm[("L", 1)] == pm[("R", 1)]
+
+
+def _glue_rejections():
+    """One input per check of glue, with the message it must raise."""
+    S = _s5_scheme()
+    Z3 = cyclic(3)
+    t, c = S5.labels.index("(1 2)"), S5.labels.index("(1 2 3)")
+    over_z2 = GGroup(Z2, S5, Homomorphism(Z2, S5, [S5.id, t]))
+    over_z3 = GGroup(Z3, S5, Homomorphism(Z3, S5, [S5.id, c, int(S5.mul[c, c])]))
+    none = frozenset()
+    return [
+        (S, S, {1}, {1}, "gluing opens must be open"),
+        (glue(S, S, {0}, {0}), S, none, none, "identity gluing needs two affine schemes"),
+        (S, S, {0}, {0, 1}, "identity gluing needs equal spectra and equal opens"),
+        (S, AffineScheme(spectrum(identity_object(S5, "S5"), "t1")), none, none,
+         "identity gluing needs equal spectra and equal opens"),
+        (S, AffineScheme(spectrum(identity_object(A5, "A5"), "t2")), none, none,
+         "identity gluing needs equal spectra and equal opens"),
+        (AffineScheme(spectrum(over_z2, "t2")), AffineScheme(spectrum(over_z3, "t2")), none, none,
+         "gluing schemes over different bases"),
+    ]
+
+
+def test_glue_rejects_each_bad_input():
+    for X1, X2, U1, U2, message in _glue_rejections():
+        with pytest.raises(SheafError, match=f"^{message}$"):
+            glue(X1, X2, U1, U2)
