@@ -45,6 +45,7 @@ from .sheaf import (
     SchemeMorphism,
     SectionGroup,
     SheafError,
+    affine_scheme,
     check_sheaf_axioms,
     embed_quotient,
     glue,

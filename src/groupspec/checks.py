@@ -66,9 +66,9 @@ def _spec(obj: GGroup, variant: str) -> Spectrum:
 
 @lru_cache(maxsize=None)
 def _scheme(spec: Spectrum):
-    from .sheaf import AffineScheme
+    from .sheaf import affine_scheme
 
-    return AffineScheme(spec)
+    return affine_scheme(spec)
 
 
 def _spectra(cat: str):
@@ -582,7 +582,7 @@ def suite_cor4_1(cat: str) -> list[dict]:
 
 
 def suite_sheaf_axioms(cat: str) -> list[dict]:
-    from .sheaf import AffineScheme, SheafError, check_sheaf_axioms
+    from .sheaf import SheafError, check_sheaf_axioms
 
     out = []
     for name, variant, spec, X in _schemes(cat):
@@ -684,14 +684,14 @@ def suite_cor5_1(cat: str) -> list[dict]:
 
 
 def suite_thm5_1(cat: str) -> list[dict]:
-    from .sheaf import AffineScheme, SheafError, glue, scheme_hom_correspondence
+    from .sheaf import SheafError, affine_scheme, glue, scheme_hom_correspondence
 
     out = []
     g = groups()
     S5 = g["S5"]
     oS5 = identity_object(S5, "S5")
     sp = spectrum(oS5, "t2")
-    X = AffineScheme(sp)
+    X = affine_scheme(sp)
     try:
         rep = scheme_hom_correspondence(X, oS5, "t2")
         ok = rep["all_identity"] and rep["hom_count"] == 1
@@ -700,8 +700,8 @@ def suite_thm5_1(cat: str) -> list[dict]:
     except SheafError as e:
         out.append(_rec("thm5.1", "Spec2(S5),H=S5", "fail", str(e), cat))
     try:
-        gen = AffineScheme(sp).minimal_open(0)
-        D = glue(AffineScheme(sp), AffineScheme(sp), gen, gen)
+        gen = X.minimal_open(0)
+        D = glue(X, X, gen, gen)
         rep = scheme_hom_correspondence(D, oS5, "t2")
         ok = rep["all_identity"] and rep["hom_count"] == 1
         out.append(_rec("thm5.1", "doubled-point,H=S5", "pass" if ok else "fail",
@@ -712,7 +712,7 @@ def suite_thm5_1(cat: str) -> list[dict]:
     oZ2 = identity_object(Z2, "Z2")
     spz = spectrum(oZ2, "t2")
     try:
-        rep = scheme_hom_correspondence(AffineScheme(spz), oZ2, "t2")
+        rep = scheme_hom_correspondence(affine_scheme(spz), oZ2, "t2")
         ok = rep["all_identity"] and rep["hom_count"] == 1
         out.append(_rec("thm5.1", "one-point,H=Z2", "pass" if ok else "fail",
                         f"hom count {rep['hom_count']}", cat))

@@ -490,15 +490,12 @@ class Interpreter:
         self.emit(f"variety over {d['group']}^{d['nvars']}: {len(V.points)} points")
 
     def _scheme(self, name: str, lineno: int):
-        from .sheaf import AffineScheme, Scheme
+        from .sheaf import Scheme, affine_scheme
         from .spectrum import Spectrum
 
         v = self.env.get(name)
         if isinstance(v, Spectrum):
-            key = f"_scheme:{name}"
-            if key not in self.env:
-                self.env[key] = AffineScheme(v)
-            return self.env[key]
+            return affine_scheme(v)
         if isinstance(v, Scheme):
             return v
         raise DslError(f"{name!r} is not a spectrum or scheme", lineno, 1)

@@ -108,15 +108,18 @@ class GroupTable:
         raise GroupError("table has no two-sided identity")
 
     def _find_inverses(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=self.mul.dtype)
-        rows, cols = np.nonzero(self.mul == self.id)
-        for r, c in zip(rows, cols):
-            if inv[r] == -1:
-                inv[r] = c
-        for a in range(self.order):
-            b = int(inv[a])
-            if b < 0 or self.mul[a, b] != self.id or self.mul[b, a] != self.id:
-                raise GroupError(f"element {a} has no two-sided inverse")
+        """The first column b with a*b = 1 in each row a, found 512 rows at a
+        time so the boolean mask stays small; then b*a = 1 for every a."""
+        n = self.order
+        inv = np.empty(n, dtype=self.mul.dtype)
+        found = np.empty(n, dtype=bool)
+        for start in range(0, n, 512):
+            hit = self.mul[start:start + 512] == self.id
+            inv[start:start + 512] = hit.argmax(axis=1)
+            found[start:start + 512] = hit.any(axis=1)
+        ok = found & (self.mul[inv, np.arange(n)] == self.id)
+        if not ok.all():
+            raise GroupError(f"element {int(np.argmin(ok))} has no two-sided inverse")
         return inv
 
     def _check_associative(self) -> None:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from .fingroup import (
     GroupError,
@@ -40,6 +42,7 @@ __all__ = [
     "SchemeSection",
     "SectionGroup",
     "AffineScheme",
+    "affine_scheme",
     "GluedScheme",
     "SchemeMorphism",
     "induced_morphism",
@@ -135,6 +138,20 @@ class SectionGroup:
             return self._index[s.values]
         except KeyError:
             raise SheafError("section does not belong to this group") from None
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The element rows as one int array, a line per element."""
+        return np.array([s.values for s in self.elements], dtype=np.int64)
+
+    def locate(self, rows: np.ndarray) -> np.ndarray:
+        """The element index of each given row, -1 where a row is no section."""
+        n = len(self.elements)
+        _, first, inv = np.unique(
+            np.concatenate([self.rows, rows]), axis=0, return_index=True, return_inverse=True
+        )
+        idx = first[inv.reshape(-1)[n:]]
+        return np.where(idx < n, idx, -1)
 
     def constant_index(self, g: int) -> int:
         return self.index_of(self.scheme.constant_section(self.open_set, g))
@@ -320,6 +337,14 @@ class AffineScheme:
         return [self]
 
 
+def affine_scheme(spec: Spectrum) -> AffineScheme:
+    """The one affine scheme of a spectrum, kept in the spectrum's caches,
+    so every user of the spectrum shares its section groups."""
+    if "scheme" not in spec._caches:
+        spec._caches["scheme"] = AffineScheme(spec)
+    return spec._caches["scheme"]
+
+
 # -- glued schemes ---------------------------------------------------------
 
 
@@ -462,8 +487,8 @@ def glue(X1, X2, U1: Iterable, U2: Iterable) -> GluedScheme:
     same closed sets, so the traces of their opens on U are one family;
     and the same local images, so a section of one chart over an open
     inside U is a section of the other, with the same row.  The identity
-    is thus a homeomorphism of the opens with an isomorphism of sections,
-    and nothing further needs checking.
+    is thus a homeomorphism of the opens with an isomorphism of sections.
+    The same base and structure map make the constant sections agree.
     """
     U1, U2 = frozenset(U1), frozenset(U2)
     if not X1.is_open(U1) or not X2.is_open(U2):
@@ -479,73 +504,95 @@ def glue(X1, X2, U1: Iterable, U2: Iterable) -> GluedScheme:
         raise SheafError("identity gluing needs equal spectra and equal opens")
     if X2.base is not X1.base:
         raise SheafError("gluing schemes over different bases")
+    if s1.object.structure.image != s2.object.structure.image:
+        raise SheafError("identity gluing needs equal structure maps")
     return GluedScheme(X1, X2, U1)
 
 
 # -- morphisms -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)  # coset maps are arrays: compare morphisms by identity
 class SchemeMorphism:
-    """Geometric point map plus the compatible pullback on sections."""
+    """Geometric point map plus the pullback on sections, as coset maps.
+
+    ``maps[p]`` sends a coset index of the target's quotient at
+    ``point_map[p]`` to a coset index of the source's quotient at p; a
+    section's row pulls back column by column through them.
+    """
 
     source: object
     target: object
     point_map: dict  # source point -> target point
-    pullback: Callable  # section of target over U -> section of source
+    maps: dict  # source point -> int array over the target point's cosets
 
     def preimage(self, U: Iterable) -> frozenset:
         U = frozenset(U)
         return frozenset(p for p, q in self.point_map.items() if q in U)
 
+    def _pull(self, rows: np.ndarray, U: frozenset) -> np.ndarray:
+        """Rows of target sections over U as rows over the preimage of U."""
+        at = _positions(U)
+        cols = [self.maps[p][rows[:, at[self.point_map[p]]]] for p in _positions(self.preimage(U))]
+        return np.array(cols, dtype=np.int64).reshape(len(cols), len(rows)).T
+
+    def pullback(self, s: SchemeSection) -> SchemeSection:
+        """The section of the source that s pulls back to."""
+        W = self.preimage(s.open_set)
+        row = self._pull(np.array([s.values], dtype=np.int64), s.open_set)
+        GW = self.source.section_group(W)
+        return GW.elements[GW.index_of(SchemeSection(W, tuple(row[0].tolist())))]
+
     def verify(self) -> dict:
-        """Continuity, commuting restriction squares, and localness; each
-        section of G(U) is pulled back once, for every square below U."""
+        """Continuity, commuting restriction squares, pullbacks landing in
+        sections, and localness, each on whole arrays of section rows."""
         opens = self.target.opens()
         for U in opens:
             if not self.source.is_open(self.preimage(U)):
                 raise SheafError("geometric map is not continuous")
         for U in opens:
             GU = self.target.section_group(U)
-            GW = self.source.section_group(self.preimage(U))
-            pulled = [self.pullback(s) for s in GU.elements]
+            W = self.preimage(U)
+            GW = self.source.section_group(W)
+            pulled = self._pull(GU.rows, U)
+            at_U, at_W = _positions(U), _positions(W)
             for V in opens:
                 if not V < U:
                     continue
-                WV = self.preimage(V)
-                for s, t in zip(GU.elements, pulled):
-                    down = self.pullback(self.target.restrict(s, V))
-                    if down.values != self.source.restrict(t, WV).values:
-                        raise SheafError("restriction square does not commute")
-            for t in pulled:
-                GW.index_of(t)  # pullback lands in sections
+                down = self._pull(GU.rows[:, [at_U[q] for q in _positions(V)]], V)
+                up = pulled[:, [at_W[p] for p in _positions(self.preimage(V))]]
+                if not np.array_equal(down, up):
+                    raise SheafError("restriction square does not commute")
+            if (GW.locate(pulled) < 0).any():
+                raise SheafError("section does not belong to this group")
+        # a section has the identity value at f(p) iff its pullback has it at p
         local = True
         for p, q in self.point_map.items():
-            mo_p = self.source.minimal_open(p)
-            mo_q = self.target.minimal_open(q)
-            Gq = self.target.section_group(mo_q)
-            for s in Gq.elements:
-                vanish_target = _is_id_value(self.target, s, q)
-                t = self.source.restrict(self.pullback(s), mo_p)
-                vanish_source = _is_id_value(self.source, t, p)
-                if vanish_target != vanish_source:
-                    local = False
+            Gq = self.target.section_group(self.target.minimal_open(q))
+            values = Gq.rows[:, _positions(Gq.open_set)[q]]
+            vanish_target = values == _id_coset(self.target, q)
+            vanish_source = self.maps[p][values] == _id_coset(self.source, p)
+            local = local and bool(np.array_equal(vanish_target, vanish_source))
         if not local:
             raise SheafError("morphism is not local")
         return {"continuous": True, "squares": True, "local": True}
 
 
-def _is_id_value(scheme, s: SchemeSection, point) -> bool:
+def _id_coset(scheme, point) -> int:
     q = scheme.point_quotient(point)
-    return s.value_at(point) == q.projection(q.parent.id)
+    return q.projection(q.parent.id)
 
 
 def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise") -> SchemeMorphism:
-    """The scheme morphism Spec(target of f) -> Spec(source of f), P -> f^-1(P)."""
+    """The scheme morphism Spec(target of f) -> Spec(source of f), P -> f^-1(P).
+
+    P_q = f^-1(P'_p) makes f send each coset of P_q into one coset of P'_p,
+    so ``maps[p]`` is the projection at p of f of q's coset representatives.
+    """
     specH = spectrum(f.source, variant, prime_def)
     specHp = spectrum(f.target, variant, prime_def)
-    X = AffineScheme(specHp)
-    Y = AffineScheme(specH)
+    X = affine_scheme(specHp)
+    Y = affine_scheme(specH)
     pm = {}
     for i, Pp in enumerate(specHp.primes):
         K = f.map.preimage_subgroup(Pp.members)
@@ -559,15 +606,12 @@ def induced_morphism(f: GMorphism, variant: str, prime_def: str = "elementwise")
                 f"preimage of prime #{i} fails the {variant}/{prime_def} primality test"
             )
         pm[i] = match
-
-    def pullback(s: SchemeSection) -> SchemeSection:
-        U = s.open_set
-        W = frozenset(p for p, q in pm.items() if q in U)
-        certs = {p: f(s.certificates[pm[p]]) for p in W}
-        row = tuple(X.point_quotient(p).projection(certs[p]) for p in sorted(W))
-        return SchemeSection(W, row, certs)
-
-    m = SchemeMorphism(X, Y, pm, pullback)
+    image = np.asarray(f.map.image)
+    maps = {
+        p: np.asarray(X.point_quotient(p).projection.image)[image[list(Y.point_quotient(q).reps)]]
+        for p, q in pm.items()
+    }
+    m = SchemeMorphism(X, Y, pm, maps)
     m.verify()
     return m
 
@@ -606,7 +650,7 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
         whole_tgt = frozenset(m.target.points)
         GS = m.source.section_group(whole_src)
         GT = m.target.section_group(whole_tgt)
-        pulled = {m.pullback(s).values for s in GT.elements}
+        pulled = np.unique(m._pull(GT.rows, whole_tgt), axis=0)
         if len(GS) != len(GT) or len(pulled) != len(GT):
             raise SheafError("radical embedding failed the sheaf isomorphism check")
     return m, iso
@@ -667,7 +711,7 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
     which equality is claimed is that the irreducible components have a
     common point.
     """
-    X = AffineScheme(spec)
+    X = affine_scheme(spec)
     whole = frozenset(X.points)
     G = X.section_group(whole)
     rad = whole_radical(spec)
@@ -692,7 +736,7 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
 
 def restrictions_are_isomorphisms(spec: Spectrum) -> bool:
     """For irreducible spectra, restrictions between nonempty opens are bijective."""
-    X = AffineScheme(spec)
+    X = affine_scheme(spec)
     whole = frozenset(X.points)
     from .spectrum import is_irreducible_closed
 
@@ -715,7 +759,7 @@ def point_vanishing_ideal(group: SectionGroup, point) -> Ideal:
     gg = group.as_ggroup()
     scheme = group.scheme
     members = [
-        i for i, s in enumerate(group.elements) if _is_id_value(scheme, s, point)
+        i for i, s in enumerate(group.elements) if s.value_at(point) == _id_coset(scheme, point)
     ]
     return Ideal(gg, Subgroup(gg.carrier, members))
 
@@ -750,7 +794,7 @@ def noetherian_sections(spec: Spectrum) -> dict:
             for (j, k), pq in pair_quots.items()
         )
     ]
-    X = AffineScheme(spec)
+    X = affine_scheme(spec)
     whole = frozenset(X.points)
     G = X.section_group(whole)
     # natural comparison: a section is sent to its values at the generic points
@@ -781,7 +825,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
         if not is_irreducible_closed(cs, frozenset(range(len(cs.primes)))):
             raise SheafError("a chart is not irreducible")
     specH = spectrum(Hobj, variant, prime_def)
-    Y = AffineScheme(specH)
+    Y = affine_scheme(specH)
     gv = global_sections_vs_quotient(specH)
     if not gv["isomorphic"]:
         raise SheafError("global sections of the target are not H/rad")
@@ -809,36 +853,26 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
         return next((i for i, v in enumerate(homs) if list(v.map.image) == image), None)
 
     def Psi(vi: int) -> SchemeMorphism:
-        """Rebuild the geometric map from prime preimages of vanishing ideals."""
+        """Rebuild the geometric map from prime preimages of vanishing ideals.
+
+        h -> (value at x of v(proj(h))) is a homomorphism with kernel P_q,
+        q = pm[x], so it factors through H/P_q: that is ``maps[x]``."""
         v = homs[vi]
-        pm = {}
+        # the global section v(proj(h)) of every h, as a row over X's points
+        images = GX.rows[[v(proj(h)) for h in range(Hobj.carrier.order)]]
+        at = _positions(whole_X)
+        pm, maps = {}, {}
         for x in X.points:
-            members = [
-                h for h in range(Hobj.carrier.order)
-                if _is_id_value(X, GX.elements[v(proj(h))], x)
-            ]
-            K = Subgroup(Hobj.carrier, members)
+            values = images[:, at[x]]
+            K = Subgroup(Hobj.carrier, np.flatnonzero(values == _id_coset(X, x)).tolist())
             match = next((j for j, P in enumerate(specH.primes) if P.members == K), None)
             if match is None:
                 raise SheafError(
                     f"vanishing preimage at point {x!r} is not a prime of the target"
                 )
             pm[x] = match
-
-        def pullback(s: SchemeSection) -> SchemeSection:
-            U = s.open_set
-            W = frozenset(p for p, qq in pm.items() if qq in U)
-            # per point, push the realizing element of s through v
-            row = tuple(
-                GX.elements[v(proj(s.certificates[pm[p]]))].value_at(p) for p in sorted(W)
-            )
-            GW = X.section_group(W)
-            i = GW._index.get(row)
-            if i is None:
-                raise SheafError("rebuilt pullback is not a section")
-            return GW.elements[i]
-
-        m = SchemeMorphism(X, Y, pm, pullback)
+            maps[x] = values[list(Y.point_quotient(match).reps)]
+        m = SchemeMorphism(X, Y, pm, maps)
         m.verify()
         return m
 

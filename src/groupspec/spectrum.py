@@ -146,9 +146,15 @@ class ClosedSet:
 
 
 def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spectrum:
-    """All prime ideals of the object, canonically ordered by (size, members)."""
-    primes = tuple(Ideal(obj, N) for N in obj.primes(variant, prime_def))
-    return Spectrum(obj, variant, prime_def, primes)
+    """All prime ideals of the object, canonically ordered by (size, members).
+
+    One Spectrum per (object, variant, prime_def), kept in the object's
+    caches, so its topology and its scheme are built once."""
+    key = ("spectrum", variant, prime_def)
+    if key not in obj._caches:
+        primes = tuple(Ideal(obj, N) for N in obj.primes(variant, prime_def))
+        obj._caches[key] = Spectrum(obj, variant, prime_def, primes)
+    return obj._caches[key]
 
 
 def vanishing_set(spec: Spectrum, N: Subgroup) -> ClosedSet:

@@ -12,8 +12,8 @@ import itertools
 import numpy as np
 
 from groupspec import freeprod as fp
-from groupspec.fingroup import GroupTable, Homomorphism
-from groupspec.sheaf import GluedScheme
+from groupspec.fingroup import GroupError, GroupTable, Homomorphism
+from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
 
 
 def _all(G: GroupTable) -> np.ndarray:
@@ -413,3 +413,109 @@ def naive_direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
     ]
     labels = [f"({x},{y})" for x in A.labels for y in B.labels]
     return GroupTable(np.array(rows), labels=labels, validate=False)
+
+
+def naive_inverses(mul, e: int) -> np.ndarray:
+    """Each row's first column b with a*b = e, from the full n x n mask, then
+    b*a = e checked element by element; the least a that fails is named."""
+    m = np.asarray(mul)
+    inv = np.full(len(m), -1, dtype=np.int64)
+    rows, cols = np.nonzero(m == e)
+    for r, c in zip(rows, cols):
+        if inv[r] == -1:
+            inv[r] = c
+    for a in range(len(m)):
+        b = int(inv[a])
+        if b < 0 or m[b, a] != e:
+            raise GroupError(f"element {a} has no two-sided inverse")
+    return inv
+
+
+def _naive_id_coset(scheme, point) -> int:
+    """The coset index of the identity in the quotient at a point."""
+    if isinstance(scheme, GluedScheme):
+        side, p = point
+        return _naive_id_coset(scheme.X1 if side == "L" else scheme.X2, p)
+    H = scheme.spectrum.object.carrier
+    return naive_cosets(H, scheme.spectrum.primes[point].members.members)[0][H.id]
+
+
+def naive_induced_point_map(f, specH, specHp) -> dict:
+    """Prime #i of Spec(H') mapped to the prime of Spec(H) equal to f^-1(P'_i),
+    found by scanning the carrier; raises induced_morphism's messages."""
+    pm = {}
+    for i, Pp in enumerate(specHp.primes):
+        inside = set(Pp.members.members)
+        K = tuple(h for h in range(f.source.carrier.order) if f(h) in inside)
+        if len(K) == f.source.carrier.order:
+            raise SheafError(f"preimage of prime #{i} is the whole carrier; no induced point")
+        match = next((j for j, P in enumerate(specH.primes) if tuple(P.members.members) == K), None)
+        if match is None:
+            raise SheafError(
+                f"preimage of prime #{i} fails the {specH.variant}/{specH.prime_def} primality test"
+            )
+        pm[i] = match
+    return pm
+
+
+def naive_induced_push(f, source):
+    """push(p, h) for the morphism induced by f on the affine scheme
+    ``source`` of f's target: the coset of f(h) at p."""
+    Hp = source.spectrum.object.carrier
+    index = {}
+
+    def push(p, h):
+        if p not in index:
+            index[p] = naive_cosets(Hp, source.spectrum.primes[p].members.members)[0]
+        return index[p][f(h)]
+
+    return push
+
+
+def naive_pullback(point_map: dict, push, s) -> tuple:
+    """The certificate pullback of the section s: each source point p over
+    s's open gets push(p, h), h the certificate of s at point_map[p]; the
+    row runs over the sorted preimage of s's open."""
+    W = sorted(p for p, q in point_map.items() if q in s.open_set)
+    return tuple(push(p, s.certificates[point_map[p]]) for p in W)
+
+
+def naive_morphism_check(source, target, point_map: dict, push) -> None:
+    """The per-section morphism check, raising the library's messages:
+    continuity; for every open U, every section s of G(U) and every open
+    V < U, pulling back s restricted to V equals restricting s's pullback;
+    every pullback is a section of the source; and s has the identity value
+    at point_map[p] iff its pullback has it at p.  The target is affine."""
+    def pre(U):
+        return frozenset(p for p, q in point_map.items() if q in U)
+
+    opens = target.opens()
+    for U in opens:
+        if not source.is_open(pre(U)):
+            raise SheafError("geometric map is not continuous")
+    for U in opens:
+        GU = target.section_group(U)
+        W = sorted(pre(U))
+        GW = source.section_group(pre(U))
+        pulled = [naive_pullback(point_map, push, s) for s in GU.elements]
+        for V in opens:
+            if not V < U:
+                continue
+            keep = [i for i, p in enumerate(W) if p in pre(V)]
+            for s, t in zip(GU.elements, pulled):
+                down = naive_pullback(point_map, push, target.restrict(s, V))
+                if down != tuple(t[i] for i in keep):
+                    raise SheafError("restriction square does not commute")
+        for t in pulled:
+            GW.index_of(SchemeSection(pre(U), t))
+    local = True
+    for p, q in point_map.items():
+        mo = target.minimal_open(q)
+        Gq = target.section_group(mo)
+        at = sorted(pre(mo)).index(p)
+        for s in Gq.elements:
+            vanish_target = s.value_at(q) == _naive_id_coset(target, q)
+            vanish_source = naive_pullback(point_map, push, s)[at] == _naive_id_coset(source, p)
+            local = local and vanish_target == vanish_source
+    if not local:
+        raise SheafError("morphism is not local")

@@ -203,6 +203,23 @@ def test_run_rejected_glue_exit_2(program, message, tmp_path):
     assert message in err
 
 
+def test_run_glue_with_different_structure_maps_exit_2(tmp_path):
+    from groupspec.fingroup import symmetric
+
+    S4 = symmetric(4)
+    u = S4.labels.index("(3 4)")
+    by_34 = [int(S4.mul[S4.mul[u, g], u]) for g in range(S4.order)]
+    code, err = _run_program_process(
+        "group S4 = sym(4)\n"
+        f"ggroup C = (S4 -> S4) via {by_34}\n"
+        "spec S4 --variant t2 as S\nspec C --variant t2 as T\nglue S 0 T 0\n",
+        tmp_path,
+    )
+    assert code == 2
+    _assert_one_line(err)
+    assert "identity gluing needs equal structure maps" in err
+
+
 def test_run_non_associative_large_table_exit_1(tmp_path):
     from oracles import swapped_cyclic
 

@@ -151,3 +151,19 @@ def test_stalk_on_glued_scheme_takes_a_point_index():
         "stalk D at #2: order 120, quotient comparison surjective=True injective=True"
     )
     assert interp.env["T"].open_set == frozenset({("L", 0), ("R", 1)})
+
+
+def test_statements_share_one_scheme_per_spectrum():
+    interp = run_program(
+        "group S4 = sym(4)\n"
+        "spec S4 --variant t2 as S\n"
+        "spec S4 --variant t2 as T\n"
+        "sections S whole as G\n"
+        "morphism (S4 -> S4) via id --variant t2 as M\n"
+    )
+    m = interp.env["M"]
+    assert interp.env["S"] is interp.env["T"]
+    assert m.source is m.target
+    assert m.target.spectrum is interp.env["S"]
+    assert m.target.section_group(frozenset(m.target.points)) is interp.env["G"]
+    assert not any(k.startswith("_scheme:") for k in interp.env)

@@ -27,6 +27,7 @@ from groupspec.fingroup import (
 
 from oracles import (
     naive_generated,
+    naive_inverses,
     naive_is_associative,
     naive_is_normal,
     naive_normal_subgroups,
@@ -265,3 +266,27 @@ def test_normal_subgroups_by_atom_joins_against_oracle():
     for G in (symmetric(4), dihedral(12), direct_product(symmetric(4), cyclic(3))):
         got = [frozenset(N.members) for N in normal_subgroups(G)]
         assert got == naive_normal_subgroups(G), G.name
+
+
+def test_inverses_match_full_mask_scan():
+    # A5xA5 (order 3600) spans several 512-row blocks
+    for name in groups():
+        G = groups()[name]
+        assert np.array_equal(G.inv, naive_inverses(G.mul, G.id)), name
+
+
+def test_missing_and_one_sided_inverses_raise():
+    # Z4 with the identity removed from row 2: 2 has no right inverse
+    m = (np.arange(4)[:, None] + np.arange(4)[None, :]) % 4
+    m[2, 2] = 1
+    with pytest.raises(GroupError, match="^element 2 has no two-sided inverse$"):
+        naive_inverses(m, 0)
+    with pytest.raises(GroupError, match="^element 2 has no two-sided inverse$"):
+        GroupTable(m, validate=False)
+    # a right inverse that is not a left one: 1*3 = 0 but 3*1 = 2
+    m = (np.arange(4)[:, None] + np.arange(4)[None, :]) % 4
+    m[3, 1] = 2
+    with pytest.raises(GroupError, match="^element 1 has no two-sided inverse$"):
+        naive_inverses(m, 0)
+    with pytest.raises(GroupError, match="^element 1 has no two-sided inverse$"):
+        GroupTable(m, validate=False)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -14,12 +15,13 @@ from groupspec.fingroup import (
     symmetric,
 )
 from groupspec.gobject import GGroup, GMorphism, identity_object
-from groupspec.spectrum import Ideal, quotient_object, spectrum
+from groupspec.spectrum import Ideal, quotient_object, spectrum, whole_radical
 from groupspec.sheaf import (
     AffineScheme,
     Scheme,
     SchemeSection,
     SheafError,
+    affine_scheme,
     check_sheaf_axioms,
     embed_quotient,
     global_sections_vs_quotient,
@@ -31,7 +33,13 @@ from groupspec.sheaf import (
     scheme_hom_correspondence,
 )
 
-from oracles import naive_section_group
+from oracles import (
+    naive_induced_point_map,
+    naive_induced_push,
+    naive_morphism_check,
+    naive_pullback,
+    naive_section_group,
+)
 
 S5 = symmetric(5)
 A5 = alternating(5)
@@ -281,6 +289,10 @@ def _glue_rejections():
     t, c = S5.labels.index("(1 2)"), S5.labels.index("(1 2 3)")
     over_z2 = GGroup(Z2, S5, Homomorphism(Z2, S5, [S5.id, t]))
     over_z3 = GGroup(Z3, S5, Homomorphism(Z3, S5, [S5.id, c, int(S5.mul[c, c])]))
+    # S4 acting on itself by conjugation by (3 4): same carrier, primes and base
+    S4 = symmetric(4)
+    u = S4.labels.index("(3 4)")
+    by_34 = GGroup(S4, S4, Homomorphism(S4, S4, [int(S4.mul[S4.mul[u, g], u]) for g in range(24)]))
     none = frozenset()
     return [
         (S, S, {1}, {1}, "gluing opens must be open"),
@@ -292,6 +304,8 @@ def _glue_rejections():
          "identity gluing needs equal spectra and equal opens"),
         (AffineScheme(spectrum(over_z2, "t2")), AffineScheme(spectrum(over_z3, "t2")), none, none,
          "gluing schemes over different bases"),
+        (AffineScheme(spectrum(identity_object(S4, "S4"), "t2")), AffineScheme(spectrum(by_34, "t2")),
+         {0}, {0}, "identity gluing needs equal structure maps"),
     ]
 
 
@@ -299,3 +313,109 @@ def test_glue_rejects_each_bad_input():
     for X1, X2, U1, U2, message in _glue_rejections():
         with pytest.raises(SheafError, match=f"^{message}$"):
             glue(X1, X2, U1, U2)
+
+
+# -- morphisms against the per-section oracle ---------------------------------
+
+
+def _assert_pullbacks_match(m, push):
+    """m.pullback(s) has the oracle's row for every section over every open."""
+    for U in m.target.opens():
+        for s in m.target.section_group(U).elements:
+            assert m.pullback(s).values == naive_pullback(m.point_map, push, s), sorted(U)
+
+
+def _oracle_error(f, variant, prime_def):
+    """The message the per-section oracle raises on f's induced morphism, on
+    fresh schemes, or None when it passes."""
+    X = AffineScheme(spectrum(f.target, variant, prime_def))
+    Y = AffineScheme(spectrum(f.source, variant, prime_def))
+    try:
+        pm = naive_induced_point_map(f, Y.spectrum, X.spectrum)
+        naive_morphism_check(X, Y, pm, naive_induced_push(f, X))
+    except SheafError as e:
+        return str(e)
+    return None
+
+
+def _check_induced(f, variant, prime_def, build=None):
+    """build() (induced_morphism by default) succeeds exactly where the oracle
+    does, with the oracle's pullbacks, and raises its message elsewhere."""
+    build = build or (lambda: induced_morphism(f, variant, prime_def))
+    want = _oracle_error(f, variant, prime_def)
+    if want is not None:
+        with pytest.raises(SheafError, match=f"^{re.escape(want)}$"):
+            build()
+        return None
+    out = build()
+    m = out[0] if isinstance(out, tuple) else out
+    _assert_pullbacks_match(m, naive_induced_push(f, m.source))
+    return m
+
+
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+@pytest.mark.parametrize("prime_def", ["elementwise", "quotient"])
+def test_identity_morphisms_match_oracle(variant, prime_def):
+    for name, obj in small_catalog():
+        f = GMorphism(obj, obj, Homomorphism.identity(obj.carrier))
+        m = _check_induced(f, variant, prime_def)
+        if m is not None:
+            assert m.source is m.target, name
+            assert m.point_map == {p: p for p in m.source.points}, name
+
+
+@pytest.mark.parametrize("variant", ["t1", "t2"])
+@pytest.mark.parametrize("prime_def", ["elementwise", "quotient"])
+def test_embed_quotient_matches_oracle(variant, prime_def):
+    for name, obj in small_catalog():
+        for N in normal_subgroups(obj.carrier)[:-1]:
+            qobj, q = quotient_object(obj, N)
+            f = GMorphism(obj, qobj, q.projection)
+            _check_induced(
+                f, variant, prime_def,
+                lambda: embed_quotient(obj, Ideal(obj, N), variant, prime_def),
+            )
+
+
+def test_z4_to_z2_matches_oracle():
+    obj = identity_object(cyclic(4), "Z4")
+    two = next(N for N in normal_subgroups(obj.carrier) if len(N) == 2)
+    qobj, q = quotient_object(obj, two)
+    m = _check_induced(GMorphism(obj, qobj, q.projection), "t2", "elementwise")
+    assert m.point_map == {0: 1}
+
+
+def _thm5_1_cases():
+    """The three scheme_hom_correspondence cases of the thm5.1 suite."""
+    s5 = identity_object(S5, "S5")
+    X = affine_scheme(spectrum(s5, "t2"))
+    gen = X.minimal_open(0)
+    z2 = identity_object(Z2, "Z2")
+    return [(X, s5), (glue(X, X, gen, gen), s5), (affine_scheme(spectrum(z2, "t2")), z2)]
+
+
+def test_psi_morphisms_match_oracle():
+    for X, obj in _thm5_1_cases():
+        rep = scheme_hom_correspondence(X, obj, "t2")
+        assert rep["hom_count"] >= 1 and rep["all_identity"]
+        rad = whole_radical(spectrum(obj, "t2"))
+        proj = (lambda h: h) if rad.is_trivial() else quotient(obj.carrier, rad).projection
+        GX = X.section_group(frozenset(X.points))
+        for vi, v in enumerate(rep["homs"]):
+            m = rep["Psi"](vi)
+
+            def push(p, h, v=v):
+                return GX.elements[v(proj(h))].value_at(p)
+
+            naive_morphism_check(m.source, m.target, m.point_map, push)
+            _assert_pullbacks_match(m, push)
+
+
+def test_one_spectrum_and_one_scheme_per_object():
+    for name, obj in small_catalog():
+        for variant in ("t1", "t2"):
+            for prime_def in ("elementwise", "quotient"):
+                sp = spectrum(obj, variant, prime_def)
+                assert spectrum(obj, variant, prime_def) is sp, name
+                assert affine_scheme(sp) is affine_scheme(sp), name
+    assert AffineScheme(sp) is not affine_scheme(sp)  # direct construction still works
