@@ -21,7 +21,6 @@ from .fingroup import (
     is_simple,
     normal_closure,
     normal_subgroups,
-    quotient,
     subgroup_product,
 )
 from .freeprod import Word, WordContext, bounded_divisor_witness, enumerate_words, parse_word

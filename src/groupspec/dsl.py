@@ -16,7 +16,6 @@ from .fingroup import (
     GroupError,
     GroupTable,
     Homomorphism,
-    Subgroup,
     TableCapError,
     alternating,
     cyclic,
@@ -30,7 +29,7 @@ from .fingroup import (
 from .freeprod import WordContext, WordError, parse_word
 from .gobject import GGroup, GMorphism, identity_object
 from .spectrum import spectrum
-from .variety import VarietyError, coordinate_group, variety_of
+from .variety import coordinate_group, variety_of
 
 __all__ = ["DslError", "Program", "parse_program", "Interpreter", "run_program"]
 

@@ -7,7 +7,6 @@ always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .fingroup import GroupError, Subgroup
 from .gobject import GGroup

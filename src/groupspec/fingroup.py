@@ -433,7 +433,7 @@ def quotient(H: GroupTable, N: Subgroup) -> QuotientGroup:
     # coset representative of x = least member of xN
     rep = H.mul[:, m].min(axis=1)
     reps = np.unique(rep)
-    proj = np.searchsorted(reps, rep)  # coset index of every element
+    proj = np.searchsorted(reps, rep).astype(H.mul.dtype)  # coset index of every element
     qmul = proj[H.mul[np.ix_(reps, reps)]]
     labels = [H.labels[int(r)] + "*" if len(N) > 1 else H.labels[int(r)] for r in reps]
     table = GroupTable(qmul, labels=labels, name=f"{H.name}/{len(N)}", validate=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fingroup import GroupError, GroupTable, Homomorphism
+from .fingroup import GroupTable, Homomorphism
 
 __all__ = [
     "WordContext",

@@ -10,7 +10,7 @@ refines to the minimal-open cover, so the two locality conditions agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -65,11 +65,10 @@ class SheafError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeSection:
-    """A section: its row of coset indices plus per-point realizing elements."""
+    """A section: its row of coset indices over the open set."""
 
     open_set: frozenset
     values: tuple  # coset index of each point of sorted(open_set)
-    certificates: dict = field(compare=False, repr=False, default_factory=dict)
 
     def value_at(self, point):
         if point not in self.open_set:
@@ -87,8 +86,7 @@ def _positions(U: frozenset) -> dict:
 class Scheme(Protocol):
     """What a scheme offers: points, a finite topology and section groups.
 
-    ``AffineScheme`` and ``GluedScheme`` both satisfy it; ``_valid_values``
-    certifies a value map over an open, or returns None if it is no section.
+    ``AffineScheme`` and ``GluedScheme`` both satisfy it.
     """
 
     points: tuple
@@ -104,7 +102,6 @@ class Scheme(Protocol):
     def constant_section(self, U: frozenset, g: int) -> SchemeSection: ...
     def stalk(self, p) -> tuple["SectionGroup", dict]: ...
     def charts(self) -> list["AffineScheme"]: ...
-    def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]: ...
 
 
 def _value_map(s: SchemeSection) -> dict:
@@ -203,7 +200,7 @@ class AffineScheme:
         self.points: tuple = tuple(range(len(spec.primes)))
         self._sections: dict[frozenset, SectionGroup] = {}
         self._quotients: dict[int, QuotientGroup] = {}
-        self._images: dict[int, tuple[tuple, dict]] = {}
+        self._images: dict[int, tuple[tuple, list]] = {}
 
     def label(self) -> str:
         return f"Spec_{self.spectrum.variant}({self.spectrum.object.label()})"
@@ -224,19 +221,14 @@ class AffineScheme:
             )
         return self._quotients[p]
 
-    def _local_image(self, p: int) -> tuple[tuple, dict]:
-        """(sorted minopen(p), image): image maps the coset indices of h over
-        minopen(p) to the first such h, scanning coset by coset, rep * m
-        for m in P_p's members; that h certifies p in every section."""
+    def _local_image(self, p: int) -> tuple[tuple, list]:
+        """(sorted minopen(p), image): image lists the distinct tuples of
+        coset indices over minopen(p) of the carrier's elements.  The cosets
+        of P_p cover the carrier, so every h realizes a value at p."""
         if p not in self._images:
-            H = self.spectrum.object.carrier
             mo = tuple(sorted(self.minimal_open(p)))
-            projections = [self.point_quotient(r).projection.image for r in mo]
-            members = list(self.spectrum.primes[p].members.members)
-            image: dict = {}
-            for rep in self.point_quotient(p).reps:
-                for h in H.mul[rep, members].tolist():
-                    image.setdefault(tuple(proj[h] for proj in projections), h)
+            projections = np.array([self.point_quotient(r).projection.image for r in mo]).T
+            image = [tuple(key) for key in np.unique(projections, axis=0).tolist()]
             self._images[p] = (mo, image)
         return self._images[p]
 
@@ -248,37 +240,22 @@ class AffineScheme:
 
     def section_from_element(self, U: frozenset, h: int) -> SchemeSection:
         row = tuple(self.point_quotient(p).projection(h) for p in sorted(U))
-        return SchemeSection(frozenset(U), row, {p: h for p in U})
+        return SchemeSection(frozenset(U), row)
 
     def restrict(self, s: SchemeSection, U2: frozenset) -> SchemeSection:
+        """The columns of s's row over the points of U2."""
         if not U2 <= s.open_set:
             raise SheafError("restriction to a non-subset")
         pos = _positions(s.open_set)
         values = tuple(s.values[pos[p]] for p in _positions(frozenset(U2)))
-        certs = {p: h for p, h in s.certificates.items() if p in U2}
-        return SchemeSection(frozenset(U2), values, certs)
-
-    def _valid_values(self, U: frozenset, vals: dict) -> Optional[dict]:
-        """Each point's certificate for vals on the open U, or None."""
-        certs = {}
-        for p in U:
-            mo, image = self._local_image(p)
-            h = image.get(tuple(vals[r] for r in mo))
-            if h is None:
-                return None
-            certs[p] = h
-        return certs
+        return SchemeSection(frozenset(U2), values)
 
     def section_group(self, U: Iterable) -> SectionGroup:
         U = frozenset(U)
         if U not in self._sections:
             if not self.is_open(U):
                 raise SheafError(f"{sorted(U)} is not open")
-            pts = sorted(U)
-            out = [
-                SchemeSection(U, row, self._valid_values(U, dict(zip(pts, row))))
-                for row in self._join(pts)
-            ]
+            out = [SchemeSection(U, row) for row in self._join(sorted(U))]
             self._sections[U] = SectionGroup(self, U, out)
         return self._sections[U]
 
@@ -420,21 +397,7 @@ class GluedScheme:
     def _assemble(self, W: frozenset, s1: SchemeSection, s2: SchemeSection) -> SchemeSection:
         left, right = _value_map(s1), _value_map(s2)
         row = tuple((left if side == "L" else right)[p] for side, p in sorted(W))
-        return SchemeSection(W, row, {"left": s1, "right": s2})
-
-    def _valid_values(self, W: frozenset, vals: dict) -> Optional[dict]:
-        """The two chart sections behind vals on the open W, or None."""
-        l, r = self._trace(W)
-        left = {p: vals[("L", p)] for p in l}
-        certs = self.X1._valid_values(l, left)
-        if certs is None:
-            return None
-        s1 = SchemeSection(l, tuple(left[p] for p in sorted(l)), certs)
-        right = {q: left[q] if q in self.U else vals[("R", q)] for q in r}
-        certs = self.X2._valid_values(r, right)
-        if certs is None:
-            return None
-        return {"left": s1, "right": SchemeSection(r, tuple(right[q] for q in sorted(r)), certs)}
+        return SchemeSection(W, row)
 
     def section_group(self, W: Iterable) -> SectionGroup:
         W = frozenset(W)
@@ -455,10 +418,8 @@ class GluedScheme:
             self._sections[W] = SectionGroup(self, W, out)
         return self._sections[W]
 
-    def restrict(self, s: SchemeSection, W2: frozenset) -> SchemeSection:
-        l, r = self._trace(frozenset(W2))
-        s1, s2 = s.certificates["left"], s.certificates["right"]
-        return self._assemble(frozenset(W2), self.X1.restrict(s1, l), self.X2.restrict(s2, r))
+    # a glued row holds the value at every point of its open
+    restrict = AffineScheme.restrict
 
     def constant_section(self, W: frozenset, g: int) -> SchemeSection:
         l, r = self._trace(frozenset(W))
@@ -544,25 +505,21 @@ class SchemeMorphism:
         return GW.elements[GW.index_of(SchemeSection(W, tuple(row[0].tolist())))]
 
     def verify(self) -> dict:
-        """Continuity, commuting restriction squares, pullbacks landing in
-        sections, and localness, each on whole arrays of section rows."""
+        """Continuity, pullbacks landing in sections, and localness, each on
+        whole arrays of section rows.
+
+        Restriction squares commute by construction: column p of a pulled
+        row reads only the target column ``point_map[p]``, so restricting
+        then pulling back selects the same columns as pulling back then
+        restricting, whatever ``maps`` holds.
+        """
         opens = self.target.opens()
         for U in opens:
             if not self.source.is_open(self.preimage(U)):
                 raise SheafError("geometric map is not continuous")
         for U in opens:
-            GU = self.target.section_group(U)
-            W = self.preimage(U)
-            GW = self.source.section_group(W)
-            pulled = self._pull(GU.rows, U)
-            at_U, at_W = _positions(U), _positions(W)
-            for V in opens:
-                if not V < U:
-                    continue
-                down = self._pull(GU.rows[:, [at_U[q] for q in _positions(V)]], V)
-                up = pulled[:, [at_W[p] for p in _positions(self.preimage(V))]]
-                if not np.array_equal(down, up):
-                    raise SheafError("restriction square does not commute")
+            GW = self.source.section_group(self.preimage(U))
+            pulled = self._pull(self.target.section_group(U).rows, U)
             if (GW.locate(pulled) < 0).any():
                 raise SheafError("section does not belong to this group")
         # a section has the identity value at f(p) iff its pullback has it at p

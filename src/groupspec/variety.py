@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fingroup import GroupTable, Homomorphism, Subgroup, _check_order, pointwise_table
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
-from .gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
+from .gobject import GGroup, enumerate_g_morphisms, identity_object
 
 __all__ = [
     "VarietySet",

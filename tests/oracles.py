@@ -472,12 +472,19 @@ def naive_induced_push(f, source):
     return push
 
 
-def naive_pullback(point_map: dict, push, s) -> tuple:
-    """The certificate pullback of the section s: each source point p over
-    s's open gets push(p, h), h the certificate of s at point_map[p]; the
-    row runs over the sorted preimage of s's open."""
+def naive_pullback(target, point_map: dict, push, s) -> tuple:
+    """The pullback of the section s of the affine scheme ``target``: each
+    source point p over s's open gets push(p, h), h the least member of s's
+    coset at q = point_map[p].  Any member would do, as the map sends P_q
+    into the prime at p.  The row runs over the sorted preimage of s's open."""
+    H = target.spectrum.object.carrier
     W = sorted(p for p, q in point_map.items() if q in s.open_set)
-    return tuple(push(p, s.certificates[point_map[p]]) for p in W)
+    out = []
+    for p in W:
+        q = point_map[p]
+        reps = naive_cosets(H, target.spectrum.primes[q].members.members)[1]
+        out.append(push(p, reps[s.value_at(q)]))
+    return tuple(out)
 
 
 def naive_morphism_check(source, target, point_map: dict, push) -> None:
@@ -497,13 +504,13 @@ def naive_morphism_check(source, target, point_map: dict, push) -> None:
         GU = target.section_group(U)
         W = sorted(pre(U))
         GW = source.section_group(pre(U))
-        pulled = [naive_pullback(point_map, push, s) for s in GU.elements]
+        pulled = [naive_pullback(target, point_map, push, s) for s in GU.elements]
         for V in opens:
             if not V < U:
                 continue
             keep = [i for i, p in enumerate(W) if p in pre(V)]
             for s, t in zip(GU.elements, pulled):
-                down = naive_pullback(point_map, push, target.restrict(s, V))
+                down = naive_pullback(target, point_map, push, target.restrict(s, V))
                 if down != tuple(t[i] for i in keep):
                     raise SheafError("restriction square does not commute")
         for t in pulled:
@@ -515,7 +522,7 @@ def naive_morphism_check(source, target, point_map: dict, push) -> None:
         at = sorted(pre(mo)).index(p)
         for s in Gq.elements:
             vanish_target = s.value_at(q) == _naive_id_coset(target, q)
-            vanish_source = naive_pullback(point_map, push, s)[at] == _naive_id_coset(source, p)
+            vanish_source = naive_pullback(target, point_map, push, s)[at] == _naive_id_coset(source, p)
             local = local and vanish_target == vanish_source
     if not local:
         raise SheafError("morphism is not local")

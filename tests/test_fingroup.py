@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ def test_quotient_rejects_non_normal():
     )
     with pytest.raises(GroupError):
         quotient(S3, H)
+
+
+def test_quotient_builds_its_table_in_the_table_dtype():
+    """H/1 of A5 x A5 is a 25.9 MB table; an int64 intermediate would be 4x."""
+    H = groups()["A5xA5"]
+    trivial = Subgroup(H, [H.id])
+    assert trivial.is_normal()
+    tracemalloc.start()
+    try:
+        q = quotient.__wrapped__(H, trivial)  # bypass the cache: build afresh
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(q.table.mul, H.mul)
+    assert peak < 2.5 * q.table.mul.nbytes, (peak, q.table.mul.nbytes)
 
 
 def test_subgroup_product():

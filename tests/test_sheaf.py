@@ -1,7 +1,9 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupspec.catalog import small_catalog
 from groupspec.fingroup import (
@@ -19,7 +21,7 @@ from groupspec.spectrum import Ideal, quotient_object, spectrum, whole_radical
 from groupspec.sheaf import (
     AffineScheme,
     Scheme,
-    SchemeSection,
+    SchemeMorphism,
     SheafError,
     affine_scheme,
     check_sheaf_axioms,
@@ -66,17 +68,6 @@ def _pairs(s):
     return tuple(sorted(zip(sorted(s.open_set), s.values), key=lambda kv: repr(kv[0])))
 
 
-def _rows(group):
-    """(values, certificates) of every element, chart sections unpacked."""
-    def certs(c):
-        return {
-            k: (_pairs(v), certs(v.certificates)) if isinstance(v, SchemeSection) else v
-            for k, v in c.items()
-        }
-
-    return [(_pairs(s), certs(s.certificates)) for s in group.elements]
-
-
 @pytest.mark.parametrize("variant", ["t1", "t2"])
 @pytest.mark.parametrize("prime_def", ["elementwise", "quotient"])
 def test_section_groups_match_naive_oracle(variant, prime_def):
@@ -85,22 +76,23 @@ def test_section_groups_match_naive_oracle(variant, prime_def):
         for U in X.opens():
             G, want = X.section_group(U), naive_section_group(X, U)
             assert [_pairs(s) for s in G.elements] == [v for v, _ in want], (name, sorted(U))
-            assert _rows(G) == want, (name, sorted(U))
 
 
 def test_glued_section_groups_match_naive_oracle():
     for D in _glued_examples():
         assert isinstance(D, Scheme) and isinstance(D.X1, Scheme)
+        want = {W: [v for v, _ in naive_section_group(D, W)] for W in D.opens()}
         for W in D.opens():
-            G, want = D.section_group(W), naive_section_group(D, W)
-            assert [_pairs(s) for s in G.elements] == [v for v, _ in want], sorted(W, key=repr)
-            assert _rows(G) == want, sorted(W, key=repr)
-            for s in G.elements:
-                got = D._valid_values(W, dict(_pairs(s)))
-                assert got is not None
-                assert (got["left"].values, got["right"].values) == (
-                    s.certificates["left"].values, s.certificates["right"].values
-                )
+            G = D.section_group(W)
+            assert [_pairs(s) for s in G.elements] == want[W], sorted(W, key=repr)
+            # restriction selects the oracle's columns and lands on its rows
+            for V in D.opens():
+                if not V <= W:
+                    continue
+                down = [tuple(kv for kv in row if kv[0] in V) for row in want[W]]
+                assert [_pairs(D.restrict(s, V)) for s in G.elements] == down, sorted(V, key=repr)
+                idx = G.restriction_indices(D.section_group(V))
+                assert [want[V][i] for i in idx] == down, sorted(V, key=repr)
 
 
 def test_glued_opens_match_subset_enumeration():
@@ -322,7 +314,7 @@ def _assert_pullbacks_match(m, push):
     """m.pullback(s) has the oracle's row for every section over every open."""
     for U in m.target.opens():
         for s in m.target.section_group(U).elements:
-            assert m.pullback(s).values == naive_pullback(m.point_map, push, s), sorted(U)
+            assert m.pullback(s).values == naive_pullback(m.target, m.point_map, push, s), sorted(U)
 
 
 def _oracle_error(f, variant, prime_def):
@@ -409,6 +401,34 @@ def test_psi_morphisms_match_oracle():
 
             naive_morphism_check(m.source, m.target, m.point_map, push)
             _assert_pullbacks_match(m, push)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_restriction_squares_commute_for_any_coset_maps(data):
+    """Pulling back then restricting equals restricting then pulling back,
+    whatever coset maps a morphism carries: why verify checks no squares."""
+    name, obj = data.draw(st.sampled_from(small_catalog()))
+    m = induced_morphism(GMorphism(obj, obj, Homomorphism.identity(obj.carrier)), "t2")
+    maps = {
+        p: np.array(data.draw(st.lists(
+            st.integers(0, m.source.point_quotient(p).table.order - 1),
+            min_size=m.target.point_quotient(q).table.order,
+            max_size=m.target.point_quotient(q).table.order,
+        )), dtype=np.int64)
+        for p, q in m.point_map.items()
+    }
+    f = SchemeMorphism(m.source, m.target, m.point_map, maps)
+    opens = m.target.opens()
+    for U in opens:
+        rows = m.target.section_group(U).rows
+        pulled = f._pull(rows, U)
+        W = sorted(f.preimage(U))
+        for V in opens:
+            if V < U:
+                down = f._pull(rows[:, [sorted(U).index(q) for q in sorted(V)]], V)
+                up = pulled[:, [W.index(p) for p in sorted(f.preimage(V))]]
+                assert np.array_equal(down, up), (name, sorted(U), sorted(V))
 
 
 def test_one_spectrum_and_one_scheme_per_object():
