@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import export as export_mod
+from .catalog import CATALOGS
 from .fingroup import (
     GroupError,
     GroupTable,
@@ -564,6 +565,8 @@ class Interpreter:
 
         d = st.data
         cat = d["flags"].get("catalog", "small")
+        if cat not in CATALOGS:
+            raise DslError(f"unknown catalog {cat!r}; known: {', '.join(CATALOGS)}", st.lineno, 1)
         try:
             recs = run_suite(d["suite"], cat)
         except KeyError as e:

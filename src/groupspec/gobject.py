@@ -7,12 +7,14 @@ enumeration live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fingroup import GroupError, GroupTable, Homomorphism, Subgroup, normal_subgroups
+from .fingroup import _respects_generators
 from . import freeprod
 
 __all__ = ["GGroup", "GMorphism", "identity_object", "enumerate_g_morphisms", "VARIANTS", "PRIME_DEFS"]
@@ -191,49 +193,17 @@ def identity_object(G: GroupTable, name: Optional[str] = None) -> GGroup:
     return GGroup(G, G, Homomorphism.identity(G), name=name or G.name)
 
 
-def _minimal_generators(obj: GGroup) -> list[int]:
-    """Generators of the carrier extending the structure image, greedily."""
-    H = obj.carrier
-    sub = H.generated_subgroup(set(obj.structure.image))
-    gens = []
-    while len(sub) < H.order:
-        g = next(x for x in range(H.order) if x not in sub)
-        gens.append(g)
-        sub = H.generated_subgroup(list(sub.members) + gens)
-    return gens
-
-
-def _complete_map(A: GroupTable, B: GroupTable, seed: dict[int, int]) -> Optional[list[int]]:
-    """Extend a partial map on generators to a full homomorphism, or None.
-
-    Closes the domain under products while checking consistency on every
-    pair, so a successful completion is a verified homomorphism.
-    """
-    mapping = {A.id: B.id}
-    mapping.update(seed)
-    elems = list(mapping)
-    i = 0
-    while i < len(elems):
-        a = elems[i]
-        for j in range(len(elems)):
-            b = elems[j]
-            for x, y in ((a, b), (b, a)):
-                p = A.op(x, y)
-                img = B.op(mapping[x], mapping[y])
-                if p in mapping:
-                    if mapping[p] != img:
-                        return None
-                else:
-                    mapping[p] = img
-                    elems.append(p)
-        i += 1
-    if len(mapping) != A.order:
-        return None
-    return [mapping[x] for x in range(A.order)]
-
-
 def enumerate_g_morphisms(A: GGroup, B: GGroup) -> list[GMorphism]:
-    """All carrier homomorphisms commuting with the structure maps."""
+    """All carrier homomorphisms commuting with the structure maps, sorted
+    by image.
+
+    A's carrier is generated greedily from its structure image onwards.  A
+    generator in that image has one candidate, its image under the
+    structure maps; any other generator g has every h of B whose order
+    divides g's.  Candidate tuples run in blocks of rows: each block's
+    image rows are filled with one gather per step y = x*g of a spanning
+    tree, then kept if they pass the generator test.
+    """
     if A.base is not B.base:
         raise GroupError("objects over different bases")
     HA, HB = A.carrier, B.carrier
@@ -243,20 +213,28 @@ def enumerate_g_morphisms(A: GGroup, B: GGroup) -> list[GMorphism]:
         if a in seed and seed[a] != b:
             return []  # structure maps incompatible
         seed[a] = b
-    gens = _minimal_generators(A)
+    gens = HA._close([*seed, *range(HA.order)])[1]
+    orders = np.array([HB.element_order(h) for h in range(HB.order)])
+    cands = [
+        [seed[g]] if g in seed else np.flatnonzero(HA.element_order(g) % orders == 0).tolist()
+        for g in gens
+    ]
+    reached, seen, steps = [HA.id], {HA.id}, []  # steps (y, x, k): y = x * gens[k]
+    for x in reached:  # grows while walked
+        for k, g in enumerate(gens):
+            y = int(HA.mul[x, g])
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                steps.append((y, x, k))
+    tuples = itertools.product(*cands)
+    step = max(1, 2 ** 16 // HA.order)  # rows per block: about 2**16 images
     found = []
-
-    def assign(k: int, partial: dict[int, int]):
-        if k == len(gens):
-            full = _complete_map(HA, HB, partial)
-            if full is not None:
-                found.append(full)
-            return
-        g = gens[k]
-        order_g = HA.element_order(g)
-        for h in range(HB.order):
-            if order_g % HB.element_order(h) == 0:
-                assign(k + 1, {**partial, g: h})
-
-    assign(0, seed)
-    return [GMorphism(A, B, Homomorphism(HA, HB, img)) for img in sorted(set(map(tuple, found)))]
+    while block := list(itertools.islice(tuples, step)):
+        C = np.array(block, dtype=np.intp)
+        rows = np.empty((len(C), HA.order), dtype=np.intp)
+        rows[:, HA.id] = HB.id
+        for y, x, k in steps:
+            rows[:, y] = HB.mul[rows[:, x], C[:, k]]
+        found.extend(map(tuple, rows[_respects_generators(HA, HB, rows)].tolist()))
+    return [GMorphism(A, B, Homomorphism(HA, HB, img)) for img in sorted(found)]

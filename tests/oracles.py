@@ -526,3 +526,76 @@ def naive_morphism_check(source, target, point_map: dict, push) -> None:
             local = local and vanish_target == vanish_source
     if not local:
         raise SheafError("morphism is not local")
+
+
+def _minimal_generators(obj) -> list[int]:
+    """Generators of the carrier extending the structure image, greedily."""
+    H = obj.carrier
+    sub = H.generated_subgroup(set(obj.structure.image))
+    gens = []
+    while len(sub) < H.order:
+        g = next(x for x in range(H.order) if x not in sub)
+        gens.append(g)
+        sub = H.generated_subgroup(list(sub.members) + gens)
+    return gens
+
+
+def _complete_map(A: GroupTable, B: GroupTable, seed: dict[int, int]):
+    """Extend a partial map on generators to a full homomorphism, or None.
+
+    Closes the domain under products while checking consistency on every
+    pair, so a successful completion is a verified homomorphism.
+    """
+    mapping = {A.id: B.id}
+    mapping.update(seed)
+    elems = list(mapping)
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        for j in range(len(elems)):
+            b = elems[j]
+            for x, y in ((a, b), (b, a)):
+                p = A.op(x, y)
+                img = B.op(mapping[x], mapping[y])
+                if p in mapping:
+                    if mapping[p] != img:
+                        return None
+                else:
+                    mapping[p] = img
+                    elems.append(p)
+        i += 1
+    if len(mapping) != A.order:
+        return None
+    return [mapping[x] for x in range(A.order)]
+
+
+def naive_g_morphisms(A, B) -> list[tuple]:
+    """The images of all carrier homomorphisms A -> B commuting with the
+    structure maps, sorted: a recursive search over generator images, each
+    completed by pairwise closure."""
+    if A.base is not B.base:
+        raise GroupError("objects over different bases")
+    HA, HB = A.carrier, B.carrier
+    seed: dict[int, int] = {}
+    for g in range(A.base.order):
+        a, b = A.structure(g), B.structure(g)
+        if a in seed and seed[a] != b:
+            return []  # structure maps incompatible
+        seed[a] = b
+    gens = _minimal_generators(A)
+    found = []
+
+    def assign(k: int, partial: dict[int, int]):
+        if k == len(gens):
+            full = _complete_map(HA, HB, partial)
+            if full is not None:
+                found.append(full)
+            return
+        g = gens[k]
+        order_g = HA.element_order(g)
+        for h in range(HB.order):
+            if order_g % HB.element_order(h) == 0:
+                assign(k + 1, {**partial, g: h})
+
+    assign(0, seed)
+    return sorted(set(map(tuple, found)))

@@ -231,3 +231,19 @@ def test_run_non_associative_large_table_exit_1(tmp_path):
     assert code == 1
     _assert_one_line(err)
     assert "not associative" in err
+
+
+@pytest.mark.parametrize("suite", ["prop2.1", "prop3.1"])  # catalog-driven, and not
+def test_run_unknown_catalog_exit_1(suite, tmp_path):
+    code, err = _run_program_process(f"check {suite} --catalog huge\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert "unknown catalog 'huge'; known: small, large" in err
+
+
+@pytest.mark.parametrize("cycles, point", [("(1 1 2)", 1), ("(1 1)", 1), ("(1 2)(2 3)", 2)])
+def test_run_repeated_cycle_point_exit_2(cycles, point, tmp_path):
+    code, err = _run_program_process(f"group G = perm 3: {cycles}\n", tmp_path)
+    assert code == 2
+    _assert_one_line(err)
+    assert f"cycle point {point} written twice in {cycles}" in err

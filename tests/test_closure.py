@@ -66,6 +66,19 @@ def test_generators_match_the_greedy_loop():
         assert list(G.generators) == naive_greedy_generators(G), G.name
 
 
+def test_closure_takes_generators_in_the_order_given():
+    # each candidate outside the span of those kept so far is kept, first
+    # come first: reversed index order keeps the greatest outsiders
+    G = S4xZ3
+    for cand in (list(range(G.order))[::-1], [7, 7, 30, 7, 2]):
+        kept, span = [], frozenset({G.id})
+        for x in cand:
+            if x not in span:
+                kept.append(x)
+                span = naive_generated(G, kept)
+        assert G._close(cand)[1] == kept
+
+
 def test_subgroup_from_any_iterable():
     G = S4xZ3
     H = G.generated_subgroup([5, 40])

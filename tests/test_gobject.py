@@ -1,11 +1,24 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupspec.fingroup import GroupError, Homomorphism, cyclic, direct_product, symmetric
+from groupspec.catalog import large_catalog
+from groupspec.fingroup import (
+    GroupError,
+    Homomorphism,
+    alternating,
+    cyclic,
+    dihedral,
+    direct_product,
+    quaternion8,
+    symmetric,
+)
 from groupspec.freeprod import WordContext, parse_word
 from groupspec.gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
 
-from oracles import SpanOracle, conjugates_of, naive_generated
+from oracles import SpanOracle, conjugates_of, naive_g_morphisms, naive_generated
 
 
 def test_identity_object_spans_are_normal_closures():
@@ -105,6 +118,68 @@ def test_enumerate_g_morphisms_identity_only():
     homs = enumerate_g_morphisms(obj, obj)
     assert len(homs) == 1
     assert homs[0].map.image == tuple(range(6))
+
+
+def _images(A, B):
+    return [m.map.image for m in enumerate_g_morphisms(A, B)]
+
+
+def _over_trivial_base(H):
+    T = cyclic(1)
+    return GGroup(T, H, Homomorphism(T, H, [H.id]))
+
+
+def test_enumeration_matches_oracle_on_the_large_catalog():
+    # every same-base pair with both carriers of order <= 120, which holds
+    # the Z2 -> S5 endomorphisms
+    objs = [obj for _, obj in large_catalog() if obj.carrier.order <= 120]
+    pairs = [(A, B) for A in objs for B in objs if A.base is B.base]
+    assert len(pairs) == 14
+    for A, B in pairs:
+        assert _images(A, B) == naive_g_morphisms(A, B), (A.label(), B.label())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric(3), lambda: dihedral(4), quaternion8,
+    lambda: alternating(4), lambda: symmetric(4), lambda: dihedral(6),
+], ids=["S3", "D4", "Q8", "A4", "S4", "D6"])
+def test_endomorphisms_over_the_trivial_base_match_oracle(make):
+    X = _over_trivial_base(make())
+    assert _images(X, X) == naive_g_morphisms(X, X)
+
+
+_CARRIERS = {"S4": symmetric(4), "D6": dihedral(6)}
+_cyclic = lru_cache(maxsize=None)(cyclic)  # one base instance per order
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_enumeration_matches_oracle_on_drawn_cyclic_bases(data):
+    # Z_k -> H by i -> a^i for an a whose order divides k, for both ends
+    k = data.draw(st.integers(1, 6))
+    Zk = _cyclic(k)
+    objs = []
+    for _ in range(2):
+        H = _CARRIERS[data.draw(st.sampled_from(sorted(_CARRIERS)))]
+        a = data.draw(st.sampled_from([x for x in range(H.order) if k % H.element_order(x) == 0]))
+        objs.append(GGroup(Zk, H, Homomorphism(Zk, H, [H.power(a, i) for i in range(k)])))
+    A, B = objs
+    assert _images(A, B) == naive_g_morphisms(A, B)
+
+
+def test_incompatible_structure_maps_have_no_morphisms():
+    Z4 = cyclic(4)
+    A = GGroup(Z4, Z4, Homomorphism(Z4, Z4, [0, 2, 0, 2]))  # k -> 2k
+    B = identity_object(Z4)
+    assert _images(A, B) == naive_g_morphisms(A, B) == []
+
+
+def test_endomorphism_counts_over_the_trivial_base():
+    # End(S3): the trivial map, one onto each of the 3 subgroups of order
+    # 2, and the 6 automorphisms; End(A5): the trivial map and |Aut A5| = |S5| = 120
+    S3, A5 = _over_trivial_base(symmetric(3)), _over_trivial_base(alternating(5))
+    assert len(enumerate_g_morphisms(S3, S3)) == 10
+    assert len(enumerate_g_morphisms(A5, A5)) == 121
 
 
 def test_evaluate_words_on_object():
