@@ -76,10 +76,6 @@ def _spectra(cat: str):
             yield name, obj, variant, _spec(obj, variant)
 
 
-def _vset(spec: Spectrum, N: Subgroup) -> frozenset:
-    return vanishing_set(spec, N).member_indices
-
-
 # -- section 2: topology algebra -------------------------------------------
 
 
@@ -94,11 +90,11 @@ def suite_prop2_1(cat: str) -> list[dict]:
                 combined = commutator_subgroup(H, I, J)
             else:
                 combined = I.intersection(J)
-            if _vset(spec, combined) != _vset(spec, I) | _vset(spec, J):
+            if vanishing_set(spec, combined) != vanishing_set(spec, I) | vanishing_set(spec, J):
                 bad = f"binary identity fails at |I|={len(I)}, |J|={len(J)}"
                 break
             E = H.generated_subgroup(set(I.members) | set(J.members))
-            if _vset(spec, E) != _vset(spec, I) & _vset(spec, J):
+            if vanishing_set(spec, E) != vanishing_set(spec, I) & vanishing_set(spec, J):
                 bad = f"family identity fails at |I|={len(I)}, |J|={len(J)}"
                 break
         if bad is None:
@@ -108,8 +104,8 @@ def suite_prop2_1(cat: str) -> list[dict]:
             )
             whole_meet = frozenset(range(len(spec.primes)))
             for N in normals:
-                whole_meet &= _vset(spec, N)
-            if _vset(spec, E) != whole_meet:
+                whole_meet &= vanishing_set(spec, N)
+            if vanishing_set(spec, E) != whole_meet:
                 bad = "full-family identity fails"
         out.append(
             _rec("prop2.1", f"{name},{variant}", "fail" if bad else "pass", bad or "", cat)
@@ -125,7 +121,7 @@ def suite_prop2_2(cat: str) -> list[dict]:
         H = obj.carrier
         bad = None
         for I, J in itertools.combinations_with_replacement(normal_subgroups(H), 2):
-            if _vset(spec, I.intersection(J)) != _vset(spec, commutator_subgroup(H, I, J)):
+            if vanishing_set(spec, I.intersection(J)) != vanishing_set(spec, commutator_subgroup(H, I, J)):
                 bad = f"fails at |I|={len(I)}, |J|={len(J)}"
                 break
         out.append(_rec("prop2.2", f"{name},t1", "fail" if bad else "pass", bad or "", cat))
@@ -139,7 +135,7 @@ def suite_prop2_3(cat: str) -> list[dict]:
         # n(h) only depends on the conjugacy class of h, so one basic open
         # per class covers all of them
         basics = [
-            frozenset(range(len(spec.primes))) - _vset(spec, normal_closure(H, [int(cls[0])]))
+            frozenset(range(len(spec.primes))) - vanishing_set(spec, normal_closure(H, [int(cls[0])]))
             for cls in H.conjugacy_classes()
         ]
         bad = None
@@ -167,7 +163,7 @@ def suite_prop2_4(cat: str) -> list[dict]:
             if not subgroup_product(H, I, J).is_whole():
                 continue
             tested += 1
-            VI, VJ = _vset(spec, I), _vset(spec, J)
+            VI, VJ = vanishing_set(spec, I), vanishing_set(spec, J)
             if VI & VJ or VI | VJ != frozenset(range(len(spec.primes))):
                 bad = f"not a disjoint cover for |I|={len(I)}, |J|={len(J)}"
                 break
@@ -184,7 +180,7 @@ def suite_prop2_5(cat: str) -> list[dict]:
         for I in normal_subgroups(H):
             if I.is_whole():
                 continue
-            V = _vset(spec, I)
+            V = vanishing_set(spec, I)
             if not V or radical(spec, V) != I:
                 continue  # hypothesis of the claim fails
             tested += 1
@@ -206,7 +202,7 @@ def suite_prop2_6(cat: str) -> list[dict]:
             if generic is None:
                 continue
             tested += 1
-            for q in comp.member_indices:
+            for q in comp:
                 for U in spec.open_sets():
                     if q in U and generic not in U:
                         bad = f"open without the generic point around prime #{q}"
@@ -659,9 +655,7 @@ def suite_cor5_1(cat: str) -> list[dict]:
     A5sub = next(N for N in normal_subgroups(S5) if len(N) == 60)
     try:
         m, iso = embed_quotient(oS5, Ideal(oS5, A5sub), "t2")
-        ok = sorted(set(m.point_map.values())) == sorted(
-            vanishing_set(m.target.spectrum, A5sub).member_indices
-        )
+        ok = set(m.point_map.values()) == vanishing_set(m.target.spectrum, A5sub)
         out.append(_rec("cor5.1", "S5,I=A5", "pass" if ok and not iso else "fail",
                         f"image=V(A5), iso={iso}", cat))
     except SheafError as e:

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success (findings included), 1 parse error, 2 computation
-error, 3 audit failure.
+Exit codes: 0 success (findings included), 1 parse error (command-line
+usage errors included), 2 computation error, 3 audit failure.
 """
 
 from __future__ import annotations
@@ -93,8 +93,16 @@ def _cmd_suites(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for ``main`` to report as one line, exit code 1;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupspec",
         description="Spectra, varieties and structural sheaves of finite structured groups.",
     )
@@ -114,7 +122,11 @@ def main(argv=None) -> int:
     p_suites = sub.add_parser("suites", help="list audit suite ids")
     p_suites.set_defaults(func=_cmd_suites)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     return args.func(args)
 
 

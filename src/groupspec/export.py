@@ -47,13 +47,13 @@ def spectrum_to_dict(spec: Spectrum) -> dict:
         "variant": spec.variant,
         "prime_def": spec.prime_def,
         "primes": [list(P.members.members) for P in spec.primes],
-        "closed_sets": sorted(sorted(c.member_indices) for c in closed),
+        "closed_sets": sorted(sorted(c) for c in closed),
         "specialization": [list(e) for e in spec.specialization_edges()],
         "radical": list(whole_radical(spec).members)
         if spec.primes
         else list(range(spec.object.carrier.order)),
         "components": [
-            {"members": sorted(c.member_indices), "generic": g} for c, g in comps
+            {"members": sorted(c), "generic": g} for c, g in comps
         ],
     }
 

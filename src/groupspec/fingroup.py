@@ -589,7 +589,9 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 
 def symmetric(n: int) -> GroupTable:
-    _check_order(math.factorial(max(n, 0)), f"S{n}")
+    if n < 0:
+        raise GroupError("symmetric(n) needs n >= 0")
+    _check_order(math.factorial(n), f"S{n}")
     return _perm_group(list(itertools.permutations(range(n))), f"S{n}")
 
 
@@ -609,7 +611,9 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def alternating(n: int) -> GroupTable:
-    _check_order(max(math.factorial(max(n, 0)) // 2, 1), f"A{n}")
+    if n < 0:
+        raise GroupError("alternating(n) needs n >= 0")
+    _check_order(max(math.factorial(n) // 2, 1), f"A{n}")
     return _perm_group(
         [p for p in itertools.permutations(range(n)) if _parity(p) == 0], f"A{n}"
     )
@@ -676,6 +680,8 @@ def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
 
 def from_permutations(degree: int, gens: Sequence[tuple[int, ...]], name: str = "perm") -> GroupTable:
     """Expand permutation generators (0-based image tuples) to a full table."""
+    if degree < 0:
+        raise GroupError(f"permutation degree {degree} is negative")
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -104,10 +104,6 @@ class Scheme(Protocol):
     def charts(self) -> list["AffineScheme"]: ...
 
 
-def _value_map(s: SchemeSection) -> dict:
-    return dict(zip(_positions(s.open_set), s.values))
-
-
 def _check_point(scheme, point) -> None:
     if point not in scheme.points:
         raise SheafError(f"no point {point!r}: {scheme.label()} has {len(scheme.points)} points")
@@ -115,6 +111,30 @@ def _check_point(scheme, point) -> None:
 
 def _open_order(w: frozenset) -> tuple:
     return (len(w), repr(sorted(w, key=repr)))
+
+
+def _natural_join(left: tuple, right: tuple) -> tuple:
+    """The natural join of two relations (points, rows) on their shared
+    points: each left row, in order, extended by every matching right row."""
+    (lpts, lrows), (rpts, rrows) = left, right
+    col = {r: i for i, r in enumerate(lpts)}
+    shared = [i for i, r in enumerate(rpts) if r in col]
+    fresh = [i for i, r in enumerate(rpts) if r not in col]
+    extend: dict = {}
+    for key in rrows:
+        extend.setdefault(tuple(key[i] for i in shared), []).append(
+            tuple(key[i] for i in fresh)
+        )
+    at = [col[rpts[i]] for i in shared]
+    rows = [row + tail for row in lrows for tail in extend.get(tuple(row[i] for i in at), ())]
+    return tuple(lpts) + tuple(rpts[i] for i in fresh), rows
+
+
+def _columns(relation: tuple, pts: Sequence) -> list[tuple]:
+    """The relation's rows with their columns in the order of pts."""
+    points, rows = relation
+    order = [points.index(p) for p in pts]
+    return [tuple(row[i] for i in order) for row in rows]
 
 
 class SectionGroup:
@@ -194,9 +214,13 @@ class AffineScheme:
     over U are the natural join of the local images of U's points.
     """
 
+    # how an open is listed in messages; glued points sort by repr
+    _message_order = None
+
     def __init__(self, spec: Spectrum):
         self.spectrum = spec
         self.base = spec.object.base
+        self.structure = spec.object.structure
         self.points: tuple = tuple(range(len(spec.primes)))
         self._sections: dict[frozenset, SectionGroup] = {}
         self._quotients: dict[int, QuotientGroup] = {}
@@ -235,8 +259,7 @@ class AffineScheme:
     # -- section arithmetic ------------------------------------------------
 
     def constant_section(self, U: frozenset, g: int) -> SchemeSection:
-        h = self.spectrum.object.structure(g)
-        return self.section_from_element(U, h)
+        return self.section_from_element(U, self.structure(g))
 
     def section_from_element(self, U: frozenset, h: int) -> SchemeSection:
         row = tuple(self.point_quotient(p).projection(h) for p in sorted(U))
@@ -254,7 +277,7 @@ class AffineScheme:
         U = frozenset(U)
         if U not in self._sections:
             if not self.is_open(U):
-                raise SheafError(f"{sorted(U)} is not open")
+                raise SheafError(f"{sorted(U, key=self._message_order)} is not open")
             out = [SchemeSection(U, row) for row in self._join(sorted(U))]
             self._sections[U] = SectionGroup(self, U, out)
         return self._sections[U]
@@ -266,27 +289,9 @@ class AffineScheme:
         Points with larger minimal opens join first; a later point whose
         minimal open is already bound only filters the rows.
         """
-        bound: list = []  # the points each row gives values for, in row order
-        rows: list[tuple] = [()]
-        for p in sorted(pts, key=lambda p: (-len(self.minimal_open(p)), p)):
-            mo, image = self._local_image(p)
-            col = {r: i for i, r in enumerate(bound)}
-            shared = [i for i, r in enumerate(mo) if r in col]
-            fresh = [i for i, r in enumerate(mo) if r not in col]
-            extend: dict = {}
-            for key in image:
-                extend.setdefault(tuple(key[i] for i in shared), []).append(
-                    tuple(key[i] for i in fresh)
-                )
-            at = [col[mo[i]] for i in shared]
-            rows = [
-                row + tail
-                for row in rows
-                for tail in extend.get(tuple(row[i] for i in at), ())
-            ]
-            bound += [mo[i] for i in fresh]
-        order = [bound.index(p) for p in pts]
-        return sorted(tuple(row[i] for i in order) for row in rows)
+        order = sorted(pts, key=lambda p: (-len(self.minimal_open(p)), p))
+        joined = reduce(_natural_join, map(self._local_image, order), ((), [()]))
+        return sorted(_columns(joined, pts))
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
@@ -333,10 +338,13 @@ class GluedScheme:
     its traces are open (the quotient topology).
     """
 
+    _message_order = repr
+
     def __init__(self, X1: AffineScheme, X2: AffineScheme, U: frozenset):
         self.X1, self.X2 = X1, X2
         self.U = frozenset(U)
         self.base = X1.base
+        self.structure = X1.structure
         self.points = tuple(
             [("L", p) for p in X1.points] + [("R", q) for q in X2.points if q not in self.U]
         )
@@ -347,12 +355,6 @@ class GluedScheme:
         return f"Glued({self.X1.label()},{self.X2.label()})"
 
     # -- topology ----------------------------------------------------------
-
-    def _trace(self, W: frozenset) -> tuple[frozenset, frozenset]:
-        left = frozenset(p for side, p in W if side == "L")
-        # the points of U also belong to the right piece
-        right = frozenset(p for side, p in W if side == "R") | (left & self.U)
-        return left, right
 
     @cached_property
     def _opens(self) -> list[frozenset]:
@@ -394,40 +396,21 @@ class GluedScheme:
         side, p = point
         return (self.X1 if side == "L" else self.X2).point_quotient(p)
 
-    def _assemble(self, W: frozenset, s1: SchemeSection, s2: SchemeSection) -> SchemeSection:
-        left, right = _value_map(s1), _value_map(s2)
-        row = tuple((left if side == "L" else right)[p] for side, p in sorted(W))
-        return SchemeSection(W, row)
+    def _local_image(self, point) -> tuple[tuple, list]:
+        """The chart's local image at the point, over glued labels: a point
+        of U keeps its ("L", p) label.  glue admits equal carriers and
+        primes only, so at a point of U either chart's image serves, and a
+        chart's minimal open lies inside every glued open around the point."""
+        side, p = point
+        mo, image = (self.X1 if side == "L" else self.X2)._local_image(p)
+        return tuple(("L", r) if side == "L" or r in self.U else ("R", r) for r in mo), image
 
-    def section_group(self, W: Iterable) -> SectionGroup:
-        W = frozenset(W)
-        if W not in self._sections:
-            if not self.is_open(W):
-                raise SheafError(f"{sorted(W, key=repr)} is not open")
-            l, r = self._trace(W)
-            shared = l & self.U
-            # hash join on the values over the shared points
-            by_shared: dict = {}
-            for s2 in self.X2.section_group(r).elements:
-                by_shared.setdefault(self.X2.restrict(s2, shared).values, []).append(s2)
-            out = [
-                self._assemble(W, s1, s2)
-                for s1 in self.X1.section_group(l).elements
-                for s2 in by_shared.get(self.X1.restrict(s1, shared).values, ())
-            ]
-            self._sections[W] = SectionGroup(self, W, out)
-        return self._sections[W]
-
-    # a glued row holds the value at every point of its open
+    # a glued open's sections are the join of its points' local images too
+    section_group = AffineScheme.section_group
+    _join = AffineScheme._join
+    section_from_element = AffineScheme.section_from_element
+    constant_section = AffineScheme.constant_section
     restrict = AffineScheme.restrict
-
-    def constant_section(self, W: frozenset, g: int) -> SchemeSection:
-        l, r = self._trace(frozenset(W))
-        return self._assemble(
-            frozenset(W),
-            self.X1.constant_section(l, g),
-            self.X2.constant_section(r, g),
-        )
 
     def stalk(self, point) -> tuple[SectionGroup, dict]:
         _check_point(self, point)
@@ -586,7 +569,7 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
     m = induced_morphism(f, variant, prime_def)
     specH = m.target.spectrum
     image = frozenset(m.point_map.values())
-    VI = vanishing_set(specH, I.members).member_indices
+    VI = vanishing_set(specH, I.members)
     if image != VI:
         raise SheafError("embedding image differs from V(I)")
     if len(set(m.point_map.values())) != len(m.point_map):
@@ -628,21 +611,12 @@ def check_sheaf_axioms(scheme) -> dict:
         for V1, V2 in itertools.combinations(opens_in_U, 2):
             if V1 | V2 != U or V1 == U or V2 == U:
                 continue
-            G1 = scheme.section_group(V1)
-            G2 = scheme.section_group(V2)
-            inter = V1 & V2
-            # hash join on the values over V1 & V2
-            by_inter: dict = {}
-            for s2 in G2.elements:
-                by_inter.setdefault(scheme.restrict(s2, inter).values, []).append(s2)
-            glued = set()
-            for s1 in G1.elements:
-                for s2 in by_inter.get(scheme.restrict(s1, inter).values, ()):
-                    merged = _value_map(s1)
-                    merged.update(_value_map(s2))
-                    glued.add(tuple(merged[p] for p in sorted(U)))
-            have = {s.values for s in GU.elements}
-            if glued != have:
+            G1, G2 = scheme.section_group(V1), scheme.section_group(V2)
+            joined = _natural_join(
+                (sorted(V1), [s.values for s in G1.elements]),
+                (sorted(V2), [s.values for s in G2.elements]),
+            )
+            if set(_columns(joined, sorted(U))) != {s.values for s in GU.elements}:
                 raise SheafError(
                     f"gluing axiom fails on {sorted(U, key=repr)} = "
                     f"{sorted(V1, key=repr)} | {sorted(V2, key=repr)}"
@@ -676,7 +650,7 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
     comps = irreducible_components(spec)
     inter = frozenset(X.points)
     for c, _ in comps:
-        inter &= c.member_indices
+        inter &= c
     hypothesis = bool(inter) or not comps
     if not spec.primes:
         return {"hypothesis": hypothesis, "isomorphic": len(G) == 1,

@@ -18,7 +18,6 @@ from .gobject import PRIME_DEFS, VARIANTS, GGroup
 __all__ = [
     "Ideal",
     "Spectrum",
-    "ClosedSet",
     "VARIANTS",
     "PRIME_DEFS",
     "quotient_object",
@@ -81,23 +80,19 @@ class Spectrum:
 
     # -- topology ----------------------------------------------------------
 
-    def closed_sets(self) -> list["ClosedSet"]:
-        """All distinct vanishing sets V(N), N normal in the carrier."""
+    def closed_sets(self) -> list[frozenset]:
+        """All distinct vanishing sets V(N), N normal in the carrier, small
+        to large."""
         if "closed" not in self._caches:
-            seen: dict[frozenset, ClosedSet] = {}
-            for N in normal_subgroups(self.object.carrier):
-                cs = vanishing_set(self, N)
-                seen.setdefault(cs.member_indices, cs)
-            self._caches["closed"] = sorted(
-                seen.values(), key=lambda c: (len(c.member_indices), sorted(c.member_indices))
-            )
+            closed = {vanishing_set(self, N) for N in normal_subgroups(self.object.carrier)}
+            self._caches["closed"] = sorted(closed, key=lambda c: (len(c), sorted(c)))
         return self._caches["closed"]
 
     def open_sets(self) -> list[frozenset]:
         """Complements of the closed sets, small to large."""
         if "open" not in self._caches:
             allp = frozenset(range(len(self.primes)))
-            opens = {allp - c.member_indices for c in self.closed_sets()}
+            opens = {allp - c for c in self.closed_sets()}
             self._caches["open"] = sorted(opens, key=lambda u: (len(u), sorted(u)))
         return self._caches["open"]
 
@@ -122,8 +117,8 @@ class Spectrum:
         S = frozenset(S)
         acc = frozenset(range(len(self.primes)))
         for c in self.closed_sets():
-            if S <= c.member_indices:
-                acc &= c.member_indices
+            if S <= c:
+                acc &= c
         return acc
 
     def specialization_edges(self) -> list[tuple[int, int]]:
@@ -134,15 +129,6 @@ class Spectrum:
             for j, Q in enumerate(self.primes)
             if i != j and P.members.issubset(Q.members)
         ]
-
-
-@dataclass(frozen=True)
-class ClosedSet:
-    """A vanishing set V(N) with the generating normal subgroup kept."""
-
-    spectrum: Spectrum
-    member_indices: frozenset
-    generator: Subgroup
 
 
 def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spectrum:
@@ -157,14 +143,14 @@ def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spect
     return obj._caches[key]
 
 
-def vanishing_set(spec: Spectrum, N: Subgroup) -> ClosedSet:
-    """Primes containing N; N may be the whole carrier (empty set)."""
+def vanishing_set(spec: Spectrum, N: Subgroup) -> frozenset:
+    """The indices of the primes containing N; N may be the whole carrier
+    (the empty set)."""
     if N.parent is not spec.object.carrier:
         raise GroupError("subgroup of the wrong carrier")
     if not N.is_normal():
         raise GroupError("vanishing_set needs a normal subgroup")
-    members = frozenset(i for i, P in enumerate(spec.primes) if N.issubset(P.members))
-    return ClosedSet(spec, members, N)
+    return frozenset(i for i, P in enumerate(spec.primes) if N.issubset(P.members))
 
 
 def radical(spec: Spectrum, S: Iterable[int]) -> Subgroup:
@@ -189,24 +175,22 @@ def is_irreducible_closed(spec: Spectrum, C: frozenset) -> bool:
     """Nonempty and not a union of two proper closed subsets."""
     if not C:
         return False
-    closed = [c.member_indices & C for c in spec.closed_sets()]
+    closed = [c & C for c in spec.closed_sets()]
     proper = {c for c in closed if c != C}
     return not any(A | B == C for A in proper for B in proper)
 
 
-def irreducible_components(spec: Spectrum) -> list[tuple[ClosedSet, Optional[int]]]:
+def irreducible_components(spec: Spectrum) -> list[tuple[frozenset, Optional[int]]]:
     """Maximal irreducible closed subsets, with generic points when present.
 
     The generic point is reported when the radical of the component is
     itself a member prime.
     """
-    closed = spec.closed_sets()
-    irr = [c for c in closed if is_irreducible_closed(spec, c.member_indices)]
-    comps = [c for c in irr if not any(c.member_indices < d.member_indices for d in irr)]
+    irr = [c for c in spec.closed_sets() if is_irreducible_closed(spec, c)]
+    comps = [c for c in irr if not any(c < d for d in irr)]
     out = []
     for c in comps:
-        rad = radical(spec, c.member_indices)
-        members = sorted(c.member_indices)
-        out.append((c, next((i for i in members if spec.primes[i].members == rad), None)))
-    out.sort(key=lambda t: sorted(t[0].member_indices))
+        rad = radical(spec, c)
+        out.append((c, next((i for i in sorted(c) if spec.primes[i].members == rad), None)))
+    out.sort(key=lambda t: sorted(t[0]))
     return out

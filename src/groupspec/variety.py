@@ -61,6 +61,8 @@ def _id_structure(G: GroupTable) -> Homomorphism:
 
 def variety_of(G: GroupTable, n: int, gens: Iterable[Word]) -> VarietySet:
     """Exhaustive zero-set filter of G^n, points in lexicographic order."""
+    if n < 0:
+        raise VarietyError(f"variety_of(G, n) needs n >= 0, got {n}")
     gens = tuple(gens)
     for w in gens:
         if w.context.group is not G or w.context.variable_count != n:

@@ -275,9 +275,10 @@ def _naive_glued_sections(D, W: frozenset) -> list[tuple]:
     left = frozenset(p for side, p in W if side == "L")
     right = frozenset(q for side, q in W if side == "R") | {pm[p] for p in left if p in pm}
     out = []
+    rights = naive_section_group(D.X2, right)
     for v1, c1 in naive_section_group(D.X1, left):
         a = dict(v1)
-        for v2, c2 in naive_section_group(D.X2, right):
+        for v2, c2 in rights:
             b = dict(v2)
             if any(a[p] != b[pm[p]] for p in left if p in pm):
                 continue

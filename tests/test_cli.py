@@ -65,6 +65,19 @@ def test_check_unknown_suite_exit_1(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "prop2.1", "--catalog", "nope"], "argument --catalog: invalid choice: 'nope'"),
+    (["check", "prop2.1", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["check"], "the following arguments are required: suite"),
+])
+def test_usage_error_exit_1(argv, message, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_check_json_format(capsys):
     code, out, err = _run(["check", "t2-defs-diverge", "--format", "json"], capsys)
     assert code == 0
@@ -235,10 +248,10 @@ def test_run_non_associative_large_table_exit_1(tmp_path):
 
 @pytest.mark.parametrize("suite", ["prop2.1", "prop3.1"])  # catalog-driven, and not
 def test_run_unknown_catalog_exit_1(suite, tmp_path):
-    code, err = _run_program_process(f"check {suite} --catalog huge\n", tmp_path)
+    code, err = _run_program_process(f"check {suite} --catalog nope\n", tmp_path)
     assert code == 1
     _assert_one_line(err)
-    assert "unknown catalog 'huge'; known: small, large" in err
+    assert "unknown catalog 'nope'; known: small, large" in err
 
 
 @pytest.mark.parametrize("cycles, point", [("(1 1 2)", 1), ("(1 1)", 1), ("(1 2)(2 3)", 2)])
@@ -247,3 +260,16 @@ def test_run_repeated_cycle_point_exit_2(cycles, point, tmp_path):
     assert code == 2
     _assert_one_line(err)
     assert f"cycle point {point} written twice in {cycles}" in err
+
+
+@pytest.mark.parametrize("program, message", [
+    ("group X = sym(-3)\n", "symmetric(n) needs n >= 0"),
+    ("group X = alt(-1)\n", "alternating(n) needs n >= 0"),
+    ("group X = perm -2: ()\n", "permutation degree -2 is negative"),
+    ("group Z2 = cyclic(2)\nvariety Z2 -1\n", "variety_of(G, n) needs n >= 0, got -1"),
+])
+def test_run_negative_size_exit_2(program, message, tmp_path):
+    code, err = _run_program_process(program, tmp_path)
+    assert code == 2
+    _assert_one_line(err)
+    assert message in err

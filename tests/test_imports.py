@@ -1,12 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name its ``__all__`` lists is bound in it.
 
 No linter ships with the test environment, so this reads each module with
 ``ast``: an imported name must appear as a name in the module's code
 (annotations included) or be listed in its ``__all__``.  ``__init__.py``
-exists to re-export, so it is skipped.
+exists to re-export, so the unused-import test skips it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,11 @@ def test_no_unused_imports(path):
     keep = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in keep}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    name = "groupspec" if path.name == "__init__.py" else f"groupspec.{path.stem}"
+    module = importlib.import_module(name)
+    stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not stale, f"{path.name}: __all__ names nothing is bound to: {stale}"

@@ -137,6 +137,35 @@ def test_stalks_bijective_for_s5():
         assert len(group) == quotient(S5, point_radical(X.spectrum, p)).table.order
 
 
+def _glued_sweep():
+    """Each small-catalog object under every definition glued to itself
+    along the empty open, each minimal open and the whole space, and S5's
+    two t2 spectra glued to each other.  Where the opens are not closed
+    under intersections (V4, D4 and Q8 under t2 with quotient primes) most
+    minimal opens are not open, so those glue along every open instead."""
+    for name, obj in small_catalog():
+        for variant in ("t1", "t2"):
+            for prime_def in ("elementwise", "quotient"):
+                X = AffineScheme(spectrum(obj, variant, prime_def))
+                along = {frozenset(), frozenset(X.points)} | {X.minimal_open(p) for p in X.points}
+                if not all(X.is_open(U) for U in along):
+                    along = set(X.opens())
+                for U in sorted(along, key=sorted):
+                    yield f"{name},{variant},{prime_def},{sorted(U)}", glue(X, X, U, U)
+    s5 = identity_object(S5, "S5")
+    X1, X2 = (AffineScheme(spectrum(s5, "t2", d)) for d in ("elementwise", "quotient"))
+    yield "S5,t2,elementwise|quotient", glue(X1, X2, {0}, {0})
+
+
+def test_glued_sweep_matches_naive_oracle():
+    for name, D in _glued_sweep():
+        for W in D.opens():
+            G, want = D.section_group(W), naive_section_group(D, W)
+            assert [_pairs(s) for s in G.elements] == [v for v, _ in want], (name, sorted(W))
+        assert check_sheaf_axioms(D)["minimal_covers"] == len(D.opens()) - 1, name
+        assert D.section_group(frozenset(D.points)).as_ggroup().carrier.order > 0, name
+
+
 def test_stalk_rejects_missing_points():
     with pytest.raises(SheafError, match="no point 9"):
         _s5_scheme().stalk(9)

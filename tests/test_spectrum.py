@@ -95,7 +95,7 @@ def test_ideal_rejects_whole_and_non_normal():
 
 def test_closed_sets_form_topology():
     s = spectrum(identity_object(S5), "t2")
-    closed = [c.member_indices for c in s.closed_sets()]
+    closed = s.closed_sets()
     allp = frozenset(range(len(s.primes)))
     assert frozenset() in closed and allp in closed
     for a in closed:
@@ -110,14 +110,14 @@ def test_vanishing_set_antitone():
     for i, N in enumerate(subs):
         for M in subs[i:]:
             if frozenset(N.members) <= frozenset(M.members):
-                assert vanishing_set(s, M).member_indices <= vanishing_set(s, N).member_indices
+                assert vanishing_set(s, M) <= vanishing_set(s, N)
 
 
 def test_radical_galois_connection():
     s = spectrum(identity_object(S5), "t2")
     for c in s.closed_sets():
-        r = radical(s, c.member_indices)
-        assert vanishing_set(s, r).member_indices == c.member_indices
+        r = radical(s, c)
+        assert vanishing_set(s, r) == c
     # empty set of primes has the whole carrier as radical
     assert len(radical(s, frozenset())) == 120
     assert len(whole_radical(s)) == 1
@@ -132,7 +132,7 @@ def test_irreducible_components_disjoint_case():
     comps = irreducible_components(s)
     assert len(comps) == 2
     assert all(generic is not None for _, generic in comps)
-    assert {frozenset(c.member_indices) for c, _ in comps} == {frozenset({0}), frozenset({1})}
+    assert {c for c, _ in comps} == {frozenset({0}), frozenset({1})}
 
 
 def test_minimal_open_and_specialization():
