@@ -26,10 +26,11 @@ from .fingroup import (
     parse_cayley_text,
     quaternion8,
     symmetric,
+    _parse_cycles,
 )
-from .freeprod import WordContext, WordError, parse_word
+from .freeprod import Word, WordContext, WordError, parse_word
 from .gobject import GGroup, GMorphism, identity_object
-from .spectrum import spectrum
+from .spectrum import Spectrum, spectrum
 from .variety import coordinate_group, variety_of
 
 __all__ = ["DslError", "Program", "parse_program", "Interpreter", "run_program"]
@@ -114,6 +115,11 @@ class _LineParser:
             raise DslError(f"expected {what}", self.lineno, col)
         return self.next().text
 
+    def keyword(self, word: str) -> None:
+        """A name token that must be ``word``."""
+        if self.name(repr(word)) != word:
+            raise DslError(f"expected {word!r}", self.lineno, self.tokens[self.pos - 1].col)
+
     def number(self, what: str = "integer") -> int:
         t = self.peek()
         if t is None or t.kind != "num":
@@ -165,6 +171,11 @@ class Statement:
     lineno: int
     data: dict
 
+    @property
+    def binds(self) -> Optional[str]:
+        """The name the statement defines: its own, or the one after ``as``."""
+        return self.data.get("name") or self.data.get("as")
+
 
 @dataclass
 class Program:
@@ -179,8 +190,11 @@ _GROUP_MAKERS = {
     "dihedral": (dihedral, 1),
 }
 
+# Each statement parser reads the tokens after its keyword and returns
+# (data, the names it references); ``parse_program`` does the rest.
 
-def _parse_group_decl(p: _LineParser) -> dict:
+
+def _parse_group(p: _LineParser) -> tuple[dict, list[str]]:
     name = p.name("group name")
     p.expect("=")
     head = p.name("group constructor")
@@ -188,57 +202,91 @@ def _parse_group_decl(p: _LineParser) -> dict:
         p.expect("(")
         n = p.number()
         p.expect(")")
-        return {"name": name, "ctor": head, "args": [n]}
+        return {"name": name, "ctor": head, "args": [n]}, []
     if head == "quaternion8":
-        return {"name": name, "ctor": "quaternion8", "args": []}
+        return {"name": name, "ctor": "quaternion8", "args": []}, []
     if head == "product":
         p.expect("(")
         a = p.name()
         p.expect(",")
         b = p.name()
         p.expect(")")
-        return {"name": name, "ctor": "product", "args": [a, b]}
+        return {"name": name, "ctor": "product", "args": [a, b]}, []
     if head == "perm":
         n = p.number("degree")
         p.expect(":")
-        return {"name": name, "ctor": "perm", "args": [n, p.rest_text()]}
+        return {"name": name, "ctor": "perm", "args": [n, p.rest_text()]}, []
     if head == "table":
-        return {"name": name, "ctor": "table", "args": [p.rest_text() or p.name("file path")]}
+        return {"name": name, "ctor": "table", "args": [p.rest_text() or p.name("file path")]}, []
     raise DslError(f"unknown group constructor {head!r}", p.lineno, p.tokens[p.pos - 1].col)
 
 
-def _parse_ggroup_decl(p: _LineParser) -> dict:
+def _arrow(p: _LineParser, source: str, target: str) -> tuple[str, str]:
+    """``(A -> B) via``: the names A and B."""
+    p.expect("(")
+    a = p.name(source)
+    p.expect("->")
+    b = p.name(target)
+    p.expect(")")
+    p.keyword("via")
+    return a, b
+
+
+def _images(p: _LineParser, bad_col: Optional[int] = None) -> Optional[list[int]]:
+    """``id`` (None) or ``[i, j, ...]``; a bad tag is reported at ``bad_col``
+    (default: the tag's own column)."""
+    if p.accept("["):
+        return p.indices()
+    if p.name("'id' or image list") != "id":
+        raise DslError("expected 'id' or '[images]'", p.lineno, bad_col or p.tokens[p.pos - 1].col)
+    return None
+
+
+def _parse_ggroup(p: _LineParser) -> tuple[dict, list[str]]:
     name = p.name("ggroup name")
     p.expect("=")
-    p.expect("(")
-    base = p.name("base group")
-    p.expect("->")
-    carrier = p.name("carrier group")
-    p.expect(")")
-    via = p.name("'via'")
-    if via != "via":
-        raise DslError("expected 'via'", p.lineno, p.tokens[p.pos - 1].col)
-    if p.accept("["):
-        images = p.indices()
-        return {"name": name, "base": base, "carrier": carrier, "images": images}
-    tag = p.name("'id' or image list")
-    if tag != "id":
-        raise DslError("expected 'id' or '[images]'", p.lineno, p.tokens[p.pos - 1].col)
-    return {"name": name, "base": base, "carrier": carrier, "images": None}
+    base, carrier = _arrow(p, "base group", "carrier group")
+    return {"name": name, "base": base, "carrier": carrier, "images": _images(p)}, [base, carrier]
 
 
-def _parse_word_decl(p: _LineParser) -> dict:
+def _parse_word(p: _LineParser) -> tuple[dict, list[str]]:
     name = p.name("word name")
-    over = p.name("'over'")
-    if over != "over":
-        raise DslError("expected 'over'", p.lineno, p.tokens[p.pos - 1].col)
+    p.keyword("over")
     p.expect("(")
     group = p.name("group name")
     p.expect(",")
     n = p.number("variable count")
     p.expect(")")
     p.expect("=")
-    return {"name": name, "group": group, "nvars": n, "literal": p.rest_text()}
+    return {"name": name, "group": group, "nvars": n, "literal": p.rest_text()}, [group]
+
+
+def _parse_target(what: str):
+    """The parser of ``KEYWORD NAME --flag value ...``."""
+    def parse(p: _LineParser) -> tuple[dict, list[str]]:
+        target = p.name(what)
+        return {"target": target, "flags": p.flags()}, [target]
+    return parse
+
+
+def _parse_variety(p: _LineParser) -> tuple[dict, list[str]]:
+    group = p.name("group name")
+    n = p.number("variable count")
+    words = []
+    while (t := p.peek()) is not None and t.kind == "name" and t.text != "as":
+        words.append(p.next().text)
+    return {"group": group, "nvars": n, "words": words}, [group, *words]
+
+
+def _parse_point_arg(p: _LineParser) -> tuple[dict, list[str]]:
+    target = p.name("spectrum name")
+    tok = p.next()
+    return {"target": target, "arg": tok.text, "argcol": tok.col}, [target]
+
+
+def _parse_morphism(p: _LineParser) -> tuple[dict, list[str]]:
+    a, b = _arrow(p, "source object", "target object")
+    return {"source": a, "target": b, "images": _images(p, bad_col=1), "flags": p.flags()}, [a, b]
 
 
 def _parse_open(text: str, lineno: int, col: int):
@@ -252,133 +300,73 @@ def _parse_open(text: str, lineno: int, col: int):
         raise DslError(f"bad open set {text!r} (use whole, empty or 0,1,..)", lineno, col) from None
 
 
+def _parse_glue(p: _LineParser) -> tuple[dict, list[str]]:
+    s1, t1 = p.name("first spectrum"), p.next()
+    s2, t2 = p.name("second spectrum"), p.next()
+    u1, u2 = (_parse_open(t.text, p.lineno, t.col) for t in (t1, t2))
+    return {"s1": s1, "u1": u1, "s2": s2, "u2": u2}, [s1, s2]
+
+
+def _parse_check(p: _LineParser) -> tuple[dict, list[str]]:
+    return {"suite": p.name("suite id"), "flags": p.flags()}, []
+
+
+# keyword -> (parser, whether ``as NAME`` may follow)
+_STATEMENTS = {
+    "group": (_parse_group, False),
+    "ggroup": (_parse_ggroup, False),
+    "word": (_parse_word, False),
+    "spec": (_parse_target("object name"), True),
+    "variety": (_parse_variety, True),
+    "sections": (_parse_point_arg, True),
+    "stalk": (_parse_point_arg, True),
+    "morphism": (_parse_morphism, True),
+    "glue": (_parse_glue, True),
+    "check": (_parse_check, False),
+    "export": (_parse_target("result name"), False),
+}
+
+
 def parse_program(text: str) -> Program:
     statements = []
-    defined: set[str] = set()
+    defined: set[Optional[str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         p = _LineParser(_tokenize(line, lineno), lineno, line)
-        head = p.name("statement keyword")
-        data: dict
-        if head == "group":
-            data = _parse_group_decl(p)
-            kind = "group"
-        elif head == "ggroup":
-            data = _parse_ggroup_decl(p)
-            kind = "ggroup"
-            for ref in (data["base"], data["carrier"]):
-                if ref not in defined:
-                    raise DslError(f"undefined reference {ref!r}", lineno, 1)
-        elif head == "word":
-            data = _parse_word_decl(p)
-            kind = "word"
-            if data["group"] not in defined:
-                raise DslError(f"undefined reference {data['group']!r}", lineno, 1)
-        elif head == "spec":
-            target = p.name("object name")
-            flags = p.flags()
-            data = {"target": target, "flags": flags, "as": None}
-            if p.accept("as"):
-                data["as"] = p.name("result name")
-            kind = "spec"
-            if target not in defined:
-                raise DslError(f"undefined reference {target!r}", lineno, 1)
-        elif head == "variety":
-            group = p.name("group name")
-            n = p.number("variable count")
-            words = []
-            while p.peek() is not None and p.peek().kind == "name" and p.peek().text != "as":
-                words.append(p.name())
-            data = {"group": group, "nvars": n, "words": words, "as": None}
-            if p.accept("as"):
-                data["as"] = p.name("result name")
-            kind = "variety"
-            for ref in [group] + words:
-                if ref not in defined:
-                    raise DslError(f"undefined reference {ref!r}", lineno, 1)
-        elif head in ("sections", "stalk"):
-            target = p.name("spectrum name")
-            tok = p.next()
-            data = {"target": target, "arg": tok.text, "argcol": tok.col, "as": None}
-            if p.accept("as"):
-                data["as"] = p.name("result name")
-            kind = head
-            if target not in defined:
-                raise DslError(f"undefined reference {target!r}", lineno, 1)
-        elif head == "morphism":
-            p.expect("(")
-            a = p.name("source object")
-            p.expect("->")
-            b = p.name("target object")
-            p.expect(")")
-            via = p.name("'via'")
-            if via != "via":
-                raise DslError("expected 'via'", lineno, p.tokens[p.pos - 1].col)
-            if p.accept("["):
-                images = p.indices()
-            else:
-                tag = p.name("'id' or image list")
-                if tag != "id":
-                    raise DslError("expected 'id' or '[images]'", lineno, 1)
-                images = None
-            flags = p.flags()
-            data = {"source": a, "target": b, "images": images, "flags": flags, "as": None}
-            if p.accept("as"):
-                data["as"] = p.name("result name")
-            kind = "morphism"
-            for ref in (a, b):
-                if ref not in defined:
-                    raise DslError(f"undefined reference {ref!r}", lineno, 1)
-        elif head == "glue":
-            s1 = p.name("first spectrum")
-            t1 = p.next()
-            s2 = p.name("second spectrum")
-            t2 = p.next()
-            data = {
-                "s1": s1,
-                "u1": _parse_open(t1.text, lineno, t1.col),
-                "s2": s2,
-                "u2": _parse_open(t2.text, lineno, t2.col),
-                "as": None,
-            }
-            if p.accept("as"):
-                data["as"] = p.name("result name")
-            kind = "glue"
-            for ref in (s1, s2):
-                if ref not in defined:
-                    raise DslError(f"undefined reference {ref!r}", lineno, 1)
-        elif head == "check":
-            suite = p.name("suite id")
-            flags = p.flags()
-            data = {"suite": suite, "flags": flags}
-            kind = "check"
-        elif head == "export":
-            target = p.name("result name")
-            flags = p.flags()
-            data = {"target": target, "flags": flags}
-            kind = "export"
-            if target not in defined:
-                raise DslError(f"undefined reference {target!r}", lineno, 1)
-        else:
-            raise DslError(f"unknown statement {head!r}", lineno, 1)
-        t = p.peek()
-        if t is not None:
+        kind = p.name("statement keyword")
+        if kind not in _STATEMENTS:
+            raise DslError(f"unknown statement {kind!r}", lineno, 1)
+        parse, takes_as = _STATEMENTS[kind]
+        data, refs = parse(p)
+        if takes_as:
+            data["as"] = p.name("result name") if p.accept("as") else None
+        for ref in refs:
+            if ref not in defined:
+                raise DslError(f"undefined reference {ref!r}", lineno, 1)
+        if (t := p.peek()) is not None:
             raise DslError(f"unexpected trailing {t.text!r}", lineno, t.col)
-        statements.append(Statement(kind, lineno, data))
-        defined.add(data.get("name") or data.get("as") or "")
+        statements.append(st := Statement(kind, lineno, data))
+        defined.add(st.binds)
     return Program(statements, text)
 
 
 # -- interpretation --------------------------------------------------------
 
 
-def _checked_images(images: list[int], target: GroupTable, lineno: int) -> list[int]:
+def _map(st: Statement, source: GroupTable, target: GroupTable, same: str) -> Homomorphism:
+    """The ``via`` map of a ggroup or morphism statement: the identity, which
+    needs ``source is target`` (``same`` names the pair), or the images."""
+    images = st.data["images"]
+    if images is None:
+        if source is not target:
+            raise DslError(f"'via id' needs identical {same}", st.lineno, 1)
+        return Homomorphism.identity(source)
     for x in images:
         if not 0 <= x < target.order:
-            raise DslError(f"image {x} out of range for {target.name} (order {target.order})", lineno, 1)
-    return images
+            raise DslError(f"image {x} out of range for {target.name} (order {target.order})", st.lineno, 1)
+    return Homomorphism(source, target, images)
 
 
 @dataclass
@@ -392,26 +380,37 @@ class Interpreter:
 
     def run(self, program: Program) -> None:
         for st in program.statements:
-            getattr(self, f"_do_{st.kind}")(st)
+            result = getattr(self, f"_do_{st.kind}")(st)
+            if st.binds:
+                self.env[st.binds] = result
+
+    def _get(self, name: str, lineno: int, kind: type, what: str):
+        v = self.env.get(name)
+        if isinstance(v, kind):
+            return v
+        raise DslError(f"{name!r} is not {what}", lineno, 1)
 
     def _group(self, name: str, lineno: int) -> GroupTable:
-        v = self.env.get(name)
-        if isinstance(v, GroupTable):
-            return v
-        raise DslError(f"{name!r} is not a group", lineno, 1)
+        return self._get(name, lineno, GroupTable, "a group")
 
     def _object(self, name: str, lineno: int) -> GGroup:
         v = self.env.get(name)
-        if isinstance(v, GGroup):
-            return v
         if isinstance(v, GroupTable):
             key = f"_idobj:{name}"
             if key not in self.env:
                 self.env[key] = identity_object(v, name)
             return self.env[key]
-        raise DslError(f"{name!r} is not a group or ggroup", lineno, 1)
+        return self._get(name, lineno, GGroup, "a group or ggroup")
 
-    def _do_group(self, st: Statement) -> None:
+    def _scheme(self, name: str, lineno: int):
+        from .sheaf import Scheme, affine_scheme
+
+        v = self.env.get(name)
+        if isinstance(v, Spectrum):
+            return affine_scheme(v)
+        return self._get(name, lineno, Scheme, "a spectrum or scheme")
+
+    def _do_group(self, st: Statement) -> GroupTable:
         d = st.data
         if d["ctor"] in _GROUP_MAKERS:
             g = _GROUP_MAKERS[d["ctor"]][0](d["args"][0])
@@ -423,8 +422,6 @@ class Interpreter:
             )
         elif d["ctor"] == "perm":
             degree, cycles = d["args"]
-            from .fingroup import _parse_cycles
-
             gens = [_parse_cycles(part, degree) for part in cycles.split(";") if part.strip()]
             g = from_permutations(degree, gens, name=d["name"])
         else:  # table
@@ -439,79 +436,57 @@ class Interpreter:
                 raise  # a size limit, not a malformed file
             except GroupError as e:
                 raise DslError(f"table {path!r}: {e}", st.lineno, 1) from None
-        self.env[d["name"]] = g
         self.emit(f"group {d['name']}: order {g.order}")
+        return g
 
-    def _do_ggroup(self, st: Statement) -> None:
+    def _do_ggroup(self, st: Statement) -> GGroup:
         d = st.data
         base = self._group(d["base"], st.lineno)
         carrier = self._group(d["carrier"], st.lineno)
-        if d["images"] is None:
-            if carrier is not base:
-                raise DslError("'via id' needs identical base and carrier", st.lineno, 1)
-            hom = Homomorphism.identity(base)
-        else:
-            hom = Homomorphism(base, carrier, _checked_images(d["images"], carrier, st.lineno))
-        obj = GGroup(base, carrier, hom, name=d["name"])
-        self.env[d["name"]] = obj
+        obj = GGroup(base, carrier, _map(st, base, carrier, "base and carrier"), name=d["name"])
         self.emit(f"ggroup {d['name']}: {base.name} -> {carrier.name}")
+        return obj
 
-    def _do_word(self, st: Statement) -> None:
+    def _do_word(self, st: Statement) -> Word:
         d = st.data
-        G = self._group(d["group"], st.lineno)
-        ctx = WordContext(G, d["nvars"])
+        ctx = WordContext(self._group(d["group"], st.lineno), d["nvars"])
         try:
             w = parse_word(ctx, d["literal"])
         except WordError as e:
             raise DslError(str(e), st.lineno, 1) from None
-        self.env[d["name"]] = w
         self.emit(f"word {d['name']}: {w}")
+        return w
 
-    def _do_spec(self, st: Statement) -> None:
+    def _do_spec(self, st: Statement) -> Spectrum:
         d = st.data
         obj = self._object(d["target"], st.lineno)
         variant = d["flags"].get("variant", "t1")
         prime_def = d["flags"].get("prime-def", "elementwise")
         sp = spectrum(obj, variant, prime_def)
-        if d["as"]:
-            self.env[d["as"]] = sp
         self.emit(
             f"spec {d['target']} [{variant},{prime_def}]: {len(sp.primes)} primes "
             f"{[sorted(P.members.members) for P in sp.primes]}"
         )
+        return sp
 
-    def _do_variety(self, st: Statement) -> None:
+    def _do_variety(self, st: Statement):
         d = st.data
         G = self._group(d["group"], st.lineno)
-        words = [self.env[w] for w in d["words"]]
-        V = variety_of(G, d["nvars"], words)
-        if d["as"]:
-            self.env[d["as"]] = V
+        V = variety_of(G, d["nvars"], [self._get(w, st.lineno, Word, "a word") for w in d["words"]])
         self.emit(f"variety over {d['group']}^{d['nvars']}: {len(V.points)} points")
+        return V
 
-    def _scheme(self, name: str, lineno: int):
-        from .sheaf import Scheme, affine_scheme
-        from .spectrum import Spectrum
-
-        v = self.env.get(name)
-        if isinstance(v, Spectrum):
-            return affine_scheme(v)
-        if isinstance(v, Scheme):
-            return v
-        raise DslError(f"{name!r} is not a spectrum or scheme", lineno, 1)
-
-    def _do_sections(self, st: Statement) -> None:
+    def _do_sections(self, st: Statement):
         d = st.data
         X = self._scheme(d["target"], st.lineno)
         U = _parse_open(d["arg"], st.lineno, d["argcol"])
         if U == "whole":
             U = frozenset(X.points)
         G = X.section_group(U)
-        if d["as"]:
-            self.env[d["as"]] = G
         self.emit(f"sections {d['target']} over {sorted(U, key=repr)}: group of order {len(G)}")
+        return G
 
-    def _do_stalk(self, st: Statement) -> None:
+    def _do_stalk(self, st: Statement):
         d = st.data
         X = self._scheme(d["target"], st.lineno)
         try:
@@ -520,34 +495,26 @@ class Interpreter:
             raise DslError("stalk needs a prime index", st.lineno, d["argcol"]) from None
         # point #k of the scheme; X.stalk rejects an index outside the points
         group, report = X.stalk(X.points[k] if 0 <= k < len(X.points) else k)
-        if d["as"]:
-            self.env[d["as"]] = group
         self.emit(
             f"stalk {d['target']} at #{k}: order {len(group)}, "
             f"quotient comparison surjective={report['surjective']} injective={report['injective']}"
         )
+        return group
 
-    def _do_morphism(self, st: Statement) -> None:
+    def _do_morphism(self, st: Statement):
         from .sheaf import induced_morphism
 
         d = st.data
         A = self._object(d["source"], st.lineno)
         B = self._object(d["target"], st.lineno)
-        if d["images"] is None:
-            if A.carrier is not B.carrier:
-                raise DslError("'via id' needs identical carriers", st.lineno, 1)
-            hom = Homomorphism.identity(A.carrier)
-        else:
-            hom = Homomorphism(A.carrier, B.carrier, _checked_images(d["images"], B.carrier, st.lineno))
-        f = GMorphism(A, B, hom)
+        f = GMorphism(A, B, _map(st, A.carrier, B.carrier, "carriers"))
         variant = d["flags"].get("variant", "t1")
         prime_def = d["flags"].get("prime-def", "elementwise")
         m = induced_morphism(f, variant, prime_def)
-        if d["as"]:
-            self.env[d["as"]] = m
         self.emit(f"morphism Spec({d['target']}) -> Spec({d['source']}): points {m.point_map}")
+        return m
 
-    def _do_glue(self, st: Statement) -> None:
+    def _do_glue(self, st: Statement):
         from .sheaf import glue
 
         d = st.data
@@ -556,9 +523,8 @@ class Interpreter:
         u1 = frozenset(X1.points) if d["u1"] == "whole" else d["u1"]
         u2 = frozenset(X2.points) if d["u2"] == "whole" else d["u2"]
         D = glue(X1, X2, u1, u2)
-        if d["as"]:
-            self.env[d["as"]] = D
         self.emit(f"glued scheme: {len(D.points)} points, {len(D.opens())} opens")
+        return D
 
     def _do_check(self, st: Statement) -> None:
         from .checks import report_lines, run_suite, worst_status
@@ -578,7 +544,6 @@ class Interpreter:
 
     def _do_export(self, st: Statement) -> None:
         from .sheaf import Scheme
-        from .spectrum import Spectrum
         from .variety import VarietySet
 
         d = st.data

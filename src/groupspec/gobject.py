@@ -23,6 +23,13 @@ VARIANTS = ("t1", "t2")
 PRIME_DEFS = ("quotient", "elementwise")
 
 
+def _check_names(variant: str, prime_def: str = "elementwise") -> None:
+    if variant not in VARIANTS:
+        raise GroupError(f"unknown variant {variant!r}")
+    if prime_def not in PRIME_DEFS:
+        raise GroupError(f"unknown prime_def {prime_def!r}")
+
+
 @dataclass(frozen=True)
 class GGroup:
     """A carrier group with a structure map from the base group."""
@@ -68,6 +75,7 @@ class GGroup:
     def primes(self, variant: str, prime_def: str) -> tuple[Subgroup, ...]:
         """The proper normal subgroups N of the carrier with no divisor pair
         modulo N, in ``normal_subgroups`` order, all decided in one pass."""
+        _check_names(variant, prime_def)
         key = ("primes", variant, prime_def)
         if key not in self._caches:
             proper = normal_subgroups(self.carrier)[:-1]  # the last is the carrier
@@ -85,10 +93,6 @@ class GGroup:
         G(x)N/N and [AN/N, BN/N] = [A, B]N/N (correspondence theorem), so
         t1 reads the same under both definitions and no quotient is built.
         """
-        if variant not in VARIANTS:
-            raise GroupError(f"unknown variant {variant!r}")
-        if prime_def not in PRIME_DEFS:
-            raise GroupError(f"unknown prime_def {prime_def!r}")
         orbits, _ = self._orbits()
         outside = ~N.mask[[int(o[0]) for o in orbits]]
         if variant == "t1":
@@ -147,6 +151,7 @@ class GGroup:
 
     def divisor_witness(self, x: int, variant: str) -> Optional[int]:
         """First y != 1 in canonical order making x a divisor of zero."""
+        _check_names(variant)
         H = self.carrier
         if x == H.id:
             raise GroupError("x must be distinct from the identity")
@@ -158,6 +163,7 @@ class GGroup:
     def is_integral(self, variant: str) -> bool:
         """No divisors of zero, i.e. the trivial ideal is prime; vacuously
         true for the trivial carrier."""
+        _check_names(variant)
         H = self.carrier
         return H.order == 1 or normal_subgroups(H)[0] in self.primes(variant, "elementwise")
 

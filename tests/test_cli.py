@@ -273,3 +273,21 @@ def test_run_negative_size_exit_2(program, message, tmp_path):
     assert code == 2
     _assert_one_line(err)
     assert message in err
+
+
+def test_run_variety_of_a_non_word_exit_1(tmp_path):
+    code, err = _run_program_process("group Z2 = cyclic(2)\nvariety Z2 1 Z2\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert "line 2, column 1: 'Z2' is not a word" in err
+
+
+@pytest.mark.parametrize("statement", [
+    "spec T --variant bogus --prime-def nope",
+    "morphism (T -> T) via id --variant bogus",
+])
+def test_run_unknown_variant_on_the_trivial_group_exit_2(statement, tmp_path):
+    code, err = _run_program_process(f"group T = cyclic(1)\n{statement}\n", tmp_path)
+    assert code == 2
+    _assert_one_line(err)
+    assert "unknown variant 'bogus'" in err

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +168,100 @@ def test_statements_share_one_scheme_per_spectrum():
     assert m.target.spectrum is interp.env["S"]
     assert m.target.section_group(frozenset(m.target.points)) is interp.env["G"]
     assert not any(k.startswith("_scheme:") for k in interp.env)
+
+
+_Z2 = "group Z2 = cyclic(2)\n"
+_SPEC = _Z2 + "spec Z2 as S\n"
+
+
+# (program, message, line, column) for every parse-error path; the failing
+# statement is the program's last line.
+@pytest.mark.parametrize("program, message, line, col", [
+    ("frobnicate A\n", "unknown statement 'frobnicate'", 1, 1),
+    ("42\n", "expected statement keyword", 1, 1),
+    ("group A = cyclic(2) $\n", "bad character '$'", 1, 21),
+    # group
+    ("group A = cyclic(2) extra\n", "unexpected trailing 'extra'", 1, 21),
+    ("group A = cyclic(2) as B\n", "unexpected trailing 'as'", 1, 21),
+    ("group A = nope(2)\n", "unknown group constructor 'nope'", 1, 11),
+    ("group A cyclic(2)\n", "expected '=', got 'cyclic'", 1, 9),
+    # ggroup
+    ("ggroup X = (Z2 -> B) via id\n", "undefined reference 'Z2'", 1, 1),
+    (_Z2 + "ggroup X = (B -> Z2) via id\n", "undefined reference 'B'", 2, 1),
+    (_Z2 + "ggroup X = (Z2 -> Z2) via id extra\n", "unexpected trailing 'extra'", 2, 30),
+    (_Z2 + "ggroup X = (Z2 -> Z2) via id as Y\n", "unexpected trailing 'as'", 2, 30),
+    (_Z2 + "ggroup X = (Z2 -> Z2) id\n", "expected 'via'", 2, 23),
+    (_Z2 + "ggroup X = (Z2 -> Z2) over id\n", "expected 'via'", 2, 23),
+    (_Z2 + "ggroup X = (Z2 -> Z2) via idd\n", "expected 'id' or '[images]'", 2, 27),
+    (_Z2 + "ggroup X = (Z2 -> Z2) via\n", "expected 'id' or image list", 2, 26),
+    (_Z2 + "ggroup X = (Z2 -> Z2) via [0, x]\n", "expected element index", 2, 31),
+    (_Z2 + "ggroup X = (Z2 Z2) via id\n", "expected '->', got 'Z2'", 2, 16),
+    # word: the literal runs to the end of the line, so `as` can only come early
+    ("word w over (B, 1) = X1\n", "undefined reference 'B'", 1, 1),
+    (_Z2 + "word w as v over (Z2, 1) = X1\n", "expected 'over'", 2, 8),
+    (_Z2 + "word w (Z2, 1) = X1\n", "expected 'over'", 2, 8),
+    (_Z2 + "word w over (Z2, 1) X1\n", "expected '=', got 'X1'", 2, 21),
+    # spec
+    ("spec Nope\n", "undefined reference 'Nope'", 1, 1),
+    (_Z2 + "spec Z2 extra\n", "unexpected trailing 'extra'", 2, 9),
+    (_Z2 + "spec Z2 as\n", "expected result name", 2, 11),
+    (_Z2 + "spec Z2 as S extra\n", "unexpected trailing 'extra'", 2, 14),
+    # variety
+    ("variety B 1\n", "undefined reference 'B'", 1, 1),
+    (_Z2 + "variety Z2 1 w\n", "undefined reference 'w'", 2, 1),
+    (_Z2 + "variety Z2 x\n", "expected variable count", 2, 12),
+    (_Z2 + "variety Z2 1 as\n", "expected result name", 2, 16),
+    (_Z2 + "variety Z2 1 as V 3\n", "unexpected trailing '3'", 2, 19),
+    # sections
+    ("sections S whole\n", "undefined reference 'S'", 1, 1),
+    (_SPEC + "sections S whole extra\n", "unexpected trailing 'extra'", 3, 18),
+    (_SPEC + "sections S whole as\n", "expected result name", 3, 20),
+    (_SPEC + "sections S\n", "unexpected end of line", 3, 11),
+    # stalk
+    ("stalk S 0\n", "undefined reference 'S'", 1, 1),
+    (_SPEC + "stalk S 0 extra\n", "unexpected trailing 'extra'", 3, 11),
+    (_SPEC + "stalk S 0 as\n", "expected result name", 3, 13),
+    # morphism
+    (_Z2 + "morphism (Z2 -> B) via id\n", "undefined reference 'B'", 2, 1),
+    (_Z2 + "morphism (Z2 -> Z2) via idd\n", "expected 'id' or '[images]'", 2, 1),
+    (_Z2 + "morphism (Z2 -> Z2) over id\n", "expected 'via'", 2, 21),
+    (_Z2 + "morphism (Z2 -> Z2) id\n", "expected 'via'", 2, 21),
+    (_Z2 + "morphism (Z2 -> Z2) via id extra\n", "unexpected trailing 'extra'", 2, 28),
+    (_Z2 + "morphism (Z2 -> Z2) via id as\n", "expected result name", 2, 30),
+    # glue
+    ("glue T 0 S 0\n", "undefined reference 'T'", 1, 1),
+    (_SPEC + "glue S 0 T 0\n", "undefined reference 'T'", 3, 1),
+    (_SPEC + "glue S nope S 0\n", "bad open set 'nope' (use whole, empty or 0,1,..)", 3, 8),
+    (_SPEC + "glue S 0 S 0 extra\n", "unexpected trailing 'extra'", 3, 14),
+    (_SPEC + "glue S 0 S 0 as\n", "expected result name", 3, 16),
+    (_SPEC + "glue S 0 S\n", "unexpected end of line", 3, 11),
+    # check
+    ("check prop2.1 extra\n", "unexpected trailing 'extra'", 1, 15),
+    ("check prop2.1 as R\n", "unexpected trailing 'as'", 1, 15),
+    ("check 5\n", "expected suite id", 1, 7),
+    # export
+    ("export Nope\n", "undefined reference 'Nope'", 1, 1),
+    (_SPEC + "export S extra\n", "unexpected trailing 'extra'", 3, 10),
+    (_SPEC + "export S as T\n", "unexpected trailing 'as'", 3, 10),
+])
+def test_parse_errors(program, message, line, col):
+    with pytest.raises(DslError) as e:
+        parse_program(program)
+    assert (str(e.value), e.value.line, e.value.col) == (
+        f"line {line}, column {col}: {message}", line, col
+    )
+
+
+def test_word_literal_runs_to_the_end_of_the_line():
+    prog = parse_program(_Z2 + "word w over (Z2, 1) = X1 as v\n")
+    assert prog.statements[1].data["literal"] == "X1 as v"
+
+
+def test_readme_grammar_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Program files", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    kinds = [st.kind for st in parse_program(block).statements]
+    assert kinds == [
+        "group", "group", "group", "ggroup", "word", "spec", "variety",
+        "sections", "stalk", "morphism", "glue", "check", "export",
+    ]

@@ -17,6 +17,7 @@ from groupspec.fingroup import (
 )
 from groupspec.freeprod import WordContext, parse_word
 from groupspec.gobject import GGroup, GMorphism, enumerate_g_morphisms, identity_object
+from groupspec.spectrum import spectrum
 
 from oracles import SpanOracle, conjugates_of, naive_g_morphisms, naive_generated
 
@@ -80,6 +81,24 @@ def test_divisor_witness_consistency():
             witnesses = [obj.divisor_witness(x, variant) for x in range(1, G.order)]
             any_divisor = any(w is not None for w in witnesses)
             assert any_divisor != obj.is_integral(variant)
+
+
+
+@pytest.mark.parametrize("n", [1, 2])  # the trivial carrier has no proper ideal to test
+def test_unknown_variant_or_prime_def_is_rejected_up_front(n):
+    obj = identity_object(cyclic(n))
+    x = n - 1  # the identity when n == 1
+    for call, message in [
+        (lambda: obj.primes("bogus", "elementwise"), "unknown variant 'bogus'"),
+        (lambda: obj.primes("t1", "nope"), "unknown prime_def 'nope'"),
+        (lambda: obj.primes("bogus", "nope"), "unknown variant 'bogus'"),
+        (lambda: obj.is_integral("bogus"), "unknown variant 'bogus'"),
+        (lambda: obj.divisor_witness(x, "bogus"), "unknown variant 'bogus'"),
+        (lambda: spectrum(obj, "bogus", "nope"), "unknown variant 'bogus'"),
+    ]:
+        with pytest.raises(GroupError, match=message):
+            call()
+    assert not any("bogus" in key or "nope" in key for key in obj._caches if isinstance(key, tuple))
 
 
 def test_gmorphism_checks_commutation():
