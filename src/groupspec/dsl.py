@@ -211,7 +211,7 @@ def _parse_group(p: _LineParser) -> tuple[dict, list[str]]:
         p.expect(",")
         b = p.name()
         p.expect(")")
-        return {"name": name, "ctor": "product", "args": [a, b]}, []
+        return {"name": name, "ctor": "product", "args": [a, b]}, [a, b]
     if head == "perm":
         n = p.number("degree")
         p.expect(":")
@@ -363,6 +363,8 @@ def _map(st: Statement, source: GroupTable, target: GroupTable, same: str) -> Ho
         if source is not target:
             raise DslError(f"'via id' needs identical {same}", st.lineno, 1)
         return Homomorphism.identity(source)
+    if len(images) != source.order:
+        raise DslError(f"expected {source.order} images for {source.name}, got {len(images)}", st.lineno, 1)
     for x in images:
         if not 0 <= x < target.order:
             raise DslError(f"image {x} out of range for {target.name} (order {target.order})", st.lineno, 1)

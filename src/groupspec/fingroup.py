@@ -231,16 +231,22 @@ class GroupTable:
     def conjugation_orbits(self, by: Iterable[int]) -> tuple[list[np.ndarray], np.ndarray]:
         """Orbits of conjugation by the subgroup ``by`` (sorted arrays, by
         least member) and each element's orbit number; one sweep per orbit."""
-        by = np.unique(np.asarray(list(by), dtype=np.int64))
+        by = np.flatnonzero(self._mask_of(list(by)))
         orbit_of = np.full(self.order, -1, dtype=np.int64)
         orbits = []
         for x in range(self.order):
             if orbit_of[x] >= 0:
                 continue
-            orb = np.unique(self.mul[self.mul[by, x], self.inv[by]])
+            orb = np.flatnonzero(self._mask_of(self.mul[self.mul[by, x], self.inv[by]]))
             orbit_of[orb] = len(orbits)
             orbits.append(orb)
         return orbits, orbit_of
+
+    def _mask_of(self, xs) -> np.ndarray:
+        """The member mask of a set of elements."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[xs] = True
+        return mask
 
     @cached_property
     def class_partition(self) -> tuple[list[np.ndarray], np.ndarray]:
@@ -260,6 +266,97 @@ class GroupTable:
         met[class_of[xs]] = True
         return met[class_of]
 
+    # -- the normal-subgroup lattice, in class space -------------------------
+
+    @cached_property
+    def _class_reps(self) -> np.ndarray:
+        """The least member of each conjugacy class."""
+        return np.array([int(c[0]) for c in self.class_partition[0]])
+
+    @cached_property
+    def normal_lattice(self) -> np.ndarray:
+        """The normal subgroups as class masks, one row each, ordered by
+        (size, member tuple) as ``normal_subgroups`` lists them.
+
+        A normal subgroup is a union of classes closed under products.  One
+        table P[x, d], the class of x * a_d (a_d the least member of class
+        d), costs n * k products.  For unions of classes N and A, the classes
+        of the product set NA are the P[x, d] with x in N and class d in A:
+        y = x * b with b = g * a_d * g^-1 is conjugate to (g^-1 * x * g) *
+        a_d, whose first factor lies in N.
+
+        The atoms are the normal closures of single classes: class d's
+        closure starts from the classes of the powers of a_d and grows by
+        the classes of its product with a_d until it stops.  Every normal
+        subgroup is a join of atoms, and the join of N with atom A is NA,
+        read from P for all atoms at once.
+        """
+        _, class_of = self.class_partition
+        reps = self._class_reps
+        k = len(reps)
+        P = class_of[self.mul[:, reps]]
+        atoms = np.zeros((k, k), dtype=bool)
+        power = np.full(k, self.id)
+        while True:  # until every a_d has cycled back to the identity
+            atoms[np.arange(k), class_of[power]] = True
+            power = self.mul[power, reps]
+            if (power == self.id).all():
+                break
+        while True:
+            x, d = np.nonzero(atoms[:, class_of].T)  # x lies in atom d
+            grown = atoms.copy()
+            grown[d, P[x, d]] = True
+            if np.array_equal(grown, atoms):
+                break
+            atoms = grown
+        # the distinct atoms, as float rows for the join products
+        A = np.array(list({a.tobytes(): a for a in atoms}.values()), dtype=np.float32)
+        trivial = np.zeros(k, dtype=bool)
+        trivial[class_of[self.id]] = True
+        found = {trivial.tobytes(): trivial}
+        frontier = [trivial]
+        cols = np.arange(k)[None, :]
+        while frontier:
+            nxt = []
+            for N in frontier:
+                R = np.zeros((k, k), dtype=np.float32)  # R[d, e]: class e meets N * a_d
+                R[cols, P[N[class_of]]] = 1
+                for J in A @ R > 0:
+                    key = J.tobytes()
+                    if key not in found:
+                        found[key] = J
+                        nxt.append(J)
+            frontier = nxt
+        members = {key: tuple(np.flatnonzero(m[class_of]).tolist()) for key, m in found.items()}
+        order = sorted(found, key=lambda key: (len(members[key]), members[key]))
+        return np.array([found[key] for key in order])
+
+    @cached_property
+    def _normal_position(self) -> dict["Subgroup", int]:
+        """Each normal subgroup's row in ``normal_lattice``."""
+        return {N: i for i, N in enumerate(normal_subgroups(self))}
+
+    def _normal_hull(self, xs) -> "Subgroup":
+        """The least normal subgroup holding the elements xs."""
+        held = np.zeros(len(self._class_reps), dtype=bool)
+        held[self.class_partition[1][xs]] = True
+        return normal_subgroups(self)[self._least_normals(held)]
+
+    def _least_normals(self, classes: np.ndarray) -> np.ndarray:
+        """For each class mask (along the last axis), the row of the least
+        normal subgroup holding those classes: the first row that covers
+        it.  Rows covering a set are closed under intersection, so the first
+        by size is their meet."""
+        M = self.normal_lattice
+        missing = classes.astype(np.float32) @ (~M).T.astype(np.float32)
+        return np.argmax(missing == 0, axis=-1)
+
+    def _normal_containment(self, masks: np.ndarray) -> np.ndarray:
+        """C[r, m]: whether lattice row r lies in the normal subgroup with
+        member mask ``masks[m]``."""
+        outside = ~masks[:, self._class_reps]
+        return self.normal_lattice.astype(np.float32) @ outside.T.astype(np.float32) == 0
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -273,13 +370,11 @@ class Subgroup:
     def __init__(self, parent: GroupTable, members: Iterable[int]):
         if not isinstance(members, np.ndarray):
             members = np.fromiter(members, dtype=np.int64)
-        arr = np.unique(members)
+        mask = parent._mask_of(members)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", tuple(arr.tolist()))
+        object.__setattr__(self, "members", tuple(np.flatnonzero(mask).tolist()))
         # tuples do not cache their hash, and subgroups key many caches
         object.__setattr__(self, "_hash", hash((id(parent), self.members)))
-        mask = np.zeros(parent.order, dtype=bool)
-        mask[arr] = True
         object.__setattr__(self, "_mask", mask)
         if not mask[parent.id]:
             raise GroupError("subgroup must contain the identity")
@@ -406,29 +501,40 @@ class QuotientGroup:
 
 
 def normal_closure(H: GroupTable, S: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup of H containing S: the subgroup generated
-    by the classes that meet S, a set closed under conjugation."""
-    hull = H._class_hull(np.asarray(list(S), dtype=np.int64))
-    return H.generated_subgroup(np.flatnonzero(hull))
+    """Smallest normal subgroup of H containing S: the least lattice row
+    holding the classes that meet S."""
+    return H._normal_hull(np.asarray(list(S), dtype=np.int64))
+
+
+def _commutators(H: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a_i, b_j] for every pair, as an array."""
+    p = H.mul[a[:, None], b[None, :]]
+    return H.mul[H.mul[p, H.inv[a][:, None]], H.inv[b][None, :]]
 
 
 @lru_cache(maxsize=None)
 def commutator_subgroup(H: GroupTable, L: Subgroup, Lp: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [l, l'], l in L, l' in L'."""
-    a = np.asarray(L.members)
+    """Subgroup generated by all commutators [l, l'], l in L, l' in L'.
+
+    For normal L and L' it is normal, and [l^g, b] = [l, b^(g^-1)]^g, so it
+    is the least normal subgroup holding the classes of [a_c, b]: a_c the
+    least member of a class c in L, b in L'.  Other inputs (the lower
+    central terms of ``is_nilpotent``) take the closure of all commutators.
+    """
     b = np.asarray(Lp.members)
-    p = H.mul[np.ix_(a, b)]
-    p = H.mul[p, H.inv[a][:, None]]
-    p = H.mul[p, H.inv[b][None, :]]
-    return H.generated_subgroup(np.unique(p))
+    if L in H._normal_position and Lp in H._normal_position:
+        a = H._class_reps[H.normal_lattice[H._normal_position[L]]]
+        return H._normal_hull(_commutators(H, a, b))
+    return H.generated_subgroup(np.flatnonzero(H._mask_of(_commutators(H, np.asarray(L.members), b))))
 
 
 def subgroup_product(H: GroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Product AB of two normal subgroups: the product set, a subgroup
-    because B is normal."""
-    if not (A.is_normal() and B.is_normal()):
+    """Product AB of two normal subgroups, a normal subgroup: the one
+    holding every x * a_d, x in A and a_d a class representative in B."""
+    if not (A in H._normal_position and B in H._normal_position):
         raise GroupError("subgroup_product requires normal inputs")
-    return Subgroup(H, np.unique(H.mul[np.ix_(A.members, B.members)]))
+    b = H._class_reps[H.normal_lattice[H._normal_position[B]]]
+    return H._normal_hull(H.mul[np.asarray(A.members)[:, None], b[None, :]])
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +545,7 @@ def quotient(H: GroupTable, N: Subgroup) -> QuotientGroup:
     m = np.asarray(N.members)
     # coset representative of x = least member of xN
     rep = H.mul[:, m].min(axis=1)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(H._mask_of(rep))
     proj = np.searchsorted(reps, rep).astype(H.mul.dtype)  # coset index of every element
     qmul = proj[H.mul[np.ix_(reps, reps)]]
     labels = [H.labels[int(r)] + "*" if len(N) > 1 else H.labels[int(r)] for r in reps]
@@ -463,27 +569,10 @@ def is_nilpotent(L: Subgroup) -> bool:
 
 @lru_cache(maxsize=None)
 def normal_subgroups(H: GroupTable) -> tuple[Subgroup, ...]:
-    """All normal subgroups, ordered by (size, member tuple).
-
-    Every normal subgroup is a join of atoms, the normal closures of single
-    classes, and the join of normal N and A is the product set NA.
-    """
-    atoms = {A.members: A for A in (H.generated_subgroup(c) for c in H.conjugacy_classes())}
-    trivial = Subgroup(H, [H.id])
-    found = {trivial.members: trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for N in frontier:
-            for A in atoms.values():
-                if A.issubset(N):
-                    continue
-                M = Subgroup(H, np.unique(H.mul[np.ix_(N.members, A.members)]))
-                if M.members not in found:
-                    found[M.members] = M
-                    nxt.append(M)
-        frontier = nxt
-    return tuple(sorted(found.values(), key=lambda s: (len(s), s.members)))
+    """All normal subgroups, ordered by (size, member tuple): the rows of
+    ``H.normal_lattice``."""
+    _, class_of = H.class_partition
+    return tuple(Subgroup(H, np.flatnonzero(row[class_of])) for row in H.normal_lattice)
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:

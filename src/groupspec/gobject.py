@@ -8,6 +8,7 @@ enumeration live here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -61,55 +62,101 @@ class GGroup:
 
     def g_span(self, x: int) -> Subgroup:
         """Subgroup of the carrier generated by the f(g)-conjugates of x,
-        i.e. by x's orbit under conjugation by f(G): one closure per orbit."""
-        cache = self._caches.setdefault("span", {})
-        if x not in cache:
+        i.e. by x's orbit under conjugation by f(G)."""
+        spans, span_of = self._spans()
+        return spans[span_of[self._orbits()[1][x]]]
+
+    def _spans(self) -> tuple[tuple[Subgroup, ...], np.ndarray]:
+        """The distinct spans, and each f(G)-orbit's index among them.
+
+        When the orbits are the conjugacy classes (as many of each), the
+        span of a class is its normal closure, the first lattice row holding
+        it.  Otherwise x^k spans the same subgroup as x when k is prime to
+        the order of x, so one closure serves the orbits of all those
+        powers.
+        """
+        if "spans" not in self._caches:
+            H = self.carrier
             orbits, orbit_of = self._orbits()
-            orbit = orbits[orbit_of[x]]
-            span = self.carrier.generated_subgroup(orbit)
-            cache.update(dict.fromkeys(orbit.tolist(), span))
-        return cache[x]
+            k = len(H.conjugacy_classes())
+            if len(orbits) == k:
+                rows = H._least_normals(np.eye(k, dtype=bool)).tolist()
+                ns = normal_subgroups(H)
+                closures = [ns[r] for r in rows]
+            else:
+                closures = [None] * len(orbits)
+                for i, orbit in enumerate(orbits):
+                    if closures[i] is None:
+                        span = H.generated_subgroup(orbit)
+                        for j in self._power_orbits(int(orbit[0])):
+                            closures[j] = span
+            index: dict[Subgroup, int] = {}
+            span_of = np.array([index.setdefault(S, len(index)) for S in closures])
+            self._caches["spans"] = (tuple(index), span_of)
+        return self._caches["spans"]
+
+    def _power_orbits(self, x: int) -> set[int]:
+        """The orbits of the powers x^k with k prime to the order of x."""
+        H, orbit_of = self.carrier, self._orbits()[1]
+        powers = [H.id, x]
+        while powers[-1] != H.id:
+            powers.append(H.op(powers[-1], x))
+        n = len(powers) - 1
+        return {int(orbit_of[p]) for k, p in enumerate(powers[:n]) if math.gcd(k, n) == 1}
 
     # -- primality ---------------------------------------------------------
 
     def primes(self, variant: str, prime_def: str) -> tuple[Subgroup, ...]:
         """The proper normal subgroups N of the carrier with no divisor pair
-        modulo N, in ``normal_subgroups`` order, all decided in one pass."""
+        modulo N, in ``normal_subgroups`` order, all decided at once."""
         _check_names(variant, prime_def)
         key = ("primes", variant, prime_def)
         if key not in self._caches:
-            proper = normal_subgroups(self.carrier)[:-1]  # the last is the carrier
-            self._caches[key] = tuple(
-                N for N in proper if not self._divisor_pairs(N, variant, prime_def).any()
-            )
+            H = self.carrier
+            proper = normal_subgroups(H)[:-1]  # the last is the carrier
+            masks = H.normal_lattice[:-1][:, H.class_partition[1]]
+            # blocks of normals keep each block's arrays near 2**22 entries
+            o = len(self._orbits()[0])
+            step = max(1, 2 ** 22 // (o * o + o * H.order))
+            divided = np.zeros(len(proper), dtype=bool)
+            for i in range(0, len(proper), step):
+                pairs = self._divisor_pairs(masks[i : i + step], variant, prime_def)
+                divided[i : i + step] = pairs.any(axis=(1, 2))
+            self._caches[key] = tuple(N for N, d in zip(proper, divided) if not d)
         return self._caches[key]
 
-    def _divisor_pairs(self, N: Subgroup, variant: str, prime_def: str) -> np.ndarray:
-        """Bool matrix over the f(G)-orbits: (i, j) is set iff both orbits
-        lie outside the normal subgroup N and the spans of their images make
-        a divisor pair in H/N.
+    def _divisor_pairs(self, normals: np.ndarray, variant: str, prime_def: str) -> np.ndarray:
+        """pairs[m, i, j] is set iff f(G)-orbits i and j both lie outside the
+        normal subgroup with member mask ``normals[m]``, and the spans of
+        their images make a divisor pair modulo it.
 
         x lies outside N iff its span does.  The span of xN in H/N is
         G(x)N/N and [AN/N, BN/N] = [A, B]N/N (correspondence theorem), so
-        t1 reads the same under both definitions and no quotient is built.
+        t1 reads the same under both definitions and no quotient is built:
+        a pair is held iff N contains the normal closure of [S_i, S_j].  t2
+        counts the shared members (or non-trivial cosets) of every pair of
+        spans with one batched float32 product, exact below 2**24.
         """
+        H = self.carrier
         orbits, _ = self._orbits()
-        outside = ~N.mask[[int(o[0]) for o in orbits]]
+        outside = ~normals[:, [int(o[0]) for o in orbits]]
         if variant == "t1":
-            held_by = np.array([M.issubset(N) for M in normal_subgroups(self.carrier)])
-            held = held_by[self._commutator_closures()]
+            held = H._normal_containment(normals).T[:, self._commutator_closures()]
         else:
-            spans, span_of = self._span_masks()
+            spans, span_of = self._spans()
+            spans = np.array([S.mask for S in spans])
             if prime_def == "elementwise":  # S_i & S_j <= N
-                rest = spans & ~N.mask
+                rest = spans[None] & ~normals[:, None, :]
             else:  # S_iN & S_jN = N; a coset is named by its least member
-                coset = self.carrier.mul[:, N.mask].min(axis=1)
-                rest = np.zeros_like(spans)
+                rest = np.zeros((len(normals),) + spans.shape, dtype=bool)
                 rows, cols = np.nonzero(spans)
-                rest[rows, coset[cols]] = True
-                rest[:, coset[self.carrier.id]] = False
-            held = ~(rest @ rest.T)[np.ix_(span_of, span_of)]
-        return held & outside[:, None] & outside[None, :]
+                for m, N in enumerate(normals):
+                    coset = H.mul[:, N].min(axis=1)
+                    rest[m, rows, coset[cols]] = True
+                    rest[m, :, coset[H.id]] = False
+            f = rest.astype(np.float32)
+            held = (f @ f.transpose(0, 2, 1) == 0)[:, span_of][:, :, span_of]
+        return held & outside[:, :, None] & outside[:, None, :]
 
     def _commutator_closures(self) -> np.ndarray:
         """least[i, j]: index in ``normal_subgroups`` of the normal closure
@@ -124,8 +171,6 @@ class GGroup:
         if "t1" not in self._caches:
             H = self.carrier
             classes, class_of = H.class_partition
-            firsts = [int(c[0]) for c in classes]
-            outside = ~np.array([N.mask[firsts] for N in normal_subgroups(H)]).T
             orbits, orbit_of = self._orbits()
             every = np.arange(H.order)
             least = np.empty((len(orbits), len(orbits)), dtype=np.int32)
@@ -134,18 +179,9 @@ class GGroup:
                 comm = H.mul[H.mul[H.mul[a, every], H.inv[a]], H.inv[every]]
                 met = np.zeros((len(orbits), len(classes)), dtype=bool)
                 met[orbit_of, class_of[comm]] = True
-                least[i] = np.argmin(met @ outside, axis=1)
+                least[i] = H._least_normals(met)
             self._caches["t1"] = least
         return self._caches["t1"]
-
-    def _span_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct spans as member-mask rows, and each orbit's row."""
-        if "spans" not in self._caches:
-            orbits, _ = self._orbits()
-            rows: dict[Subgroup, int] = {}
-            span_of = [rows.setdefault(self.g_span(int(o[0])), len(rows)) for o in orbits]
-            self._caches["spans"] = (np.array([S.mask for S in rows]), np.asarray(span_of))
-        return self._caches["spans"]
 
     # -- divisors of zero --------------------------------------------------
 
@@ -156,7 +192,8 @@ class GGroup:
         if x == H.id:
             raise GroupError("x must be distinct from the identity")
         _, orbit_of = self._orbits()
-        pairs = self._divisor_pairs(normal_subgroups(H)[0], variant, "elementwise")
+        trivial = H._mask_of([H.id])[None]
+        pairs = self._divisor_pairs(trivial, variant, "elementwise")[0]
         hits = np.flatnonzero(pairs[orbit_of[x], orbit_of])
         return int(hits[0]) if hits.size else None
 

@@ -252,7 +252,7 @@ class AffineScheme:
         if p not in self._images:
             mo = tuple(sorted(self.minimal_open(p)))
             projections = np.array([self.point_quotient(r).projection.image for r in mo]).T
-            image = [tuple(key) for key in np.unique(projections, axis=0).tolist()]
+            image = sorted(set(map(tuple, projections.tolist())))
             self._images[p] = (mo, image)
         return self._images[p]
 
@@ -590,7 +590,7 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
         whole_tgt = frozenset(m.target.points)
         GS = m.source.section_group(whole_src)
         GT = m.target.section_group(whole_tgt)
-        pulled = np.unique(m._pull(GT.rows, whole_tgt), axis=0)
+        pulled = set(map(tuple, m._pull(GT.rows, whole_tgt).tolist()))
         if len(GS) != len(GT) or len(pulled) != len(GT):
             raise SheafError("radical embedding failed the sheaf isomorphism check")
     return m, iso

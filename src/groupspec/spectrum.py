@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .fingroup import GroupError, QuotientGroup, Subgroup, normal_subgroups, quotient
+import numpy as np
+
+from .fingroup import GroupError, QuotientGroup, Subgroup, quotient
 from .gobject import PRIME_DEFS, VARIANTS, GGroup
 
 __all__ = [
@@ -80,11 +82,21 @@ class Spectrum:
 
     # -- topology ----------------------------------------------------------
 
+    def _vanishing(self) -> list[frozenset]:
+        """V(N) for every normal N of the carrier, in ``normal_subgroups``
+        order: the primes whose class masks cover N's."""
+        if "vanishing" not in self._caches:
+            H = self.object.carrier
+            masks = np.array([P.members.mask for P in self.primes], dtype=bool).reshape(-1, H.order)
+            holds = H._normal_containment(masks)
+            self._caches["vanishing"] = [frozenset(np.flatnonzero(row).tolist()) for row in holds]
+        return self._caches["vanishing"]
+
     def closed_sets(self) -> list[frozenset]:
         """All distinct vanishing sets V(N), N normal in the carrier, small
         to large."""
         if "closed" not in self._caches:
-            closed = {vanishing_set(self, N) for N in normal_subgroups(self.object.carrier)}
+            closed = set(self._vanishing())
             self._caches["closed"] = sorted(closed, key=lambda c: (len(c), sorted(c)))
         return self._caches["closed"]
 
@@ -148,9 +160,10 @@ def vanishing_set(spec: Spectrum, N: Subgroup) -> frozenset:
     (the empty set)."""
     if N.parent is not spec.object.carrier:
         raise GroupError("subgroup of the wrong carrier")
-    if not N.is_normal():
+    row = N.parent._normal_position.get(N)
+    if row is None:
         raise GroupError("vanishing_set needs a normal subgroup")
-    return frozenset(i for i, P in enumerate(spec.primes) if N.issubset(P.members))
+    return spec._vanishing()[row]
 
 
 def radical(spec: Spectrum, S: Iterable[int]) -> Subgroup:

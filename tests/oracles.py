@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from groupspec import freeprod as fp
-from groupspec.fingroup import GroupError, GroupTable, Homomorphism
+from groupspec.fingroup import GroupError, GroupTable, Homomorphism, Subgroup
 from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
 
 
@@ -600,3 +600,102 @@ def naive_g_morphisms(A, B) -> list[tuple]:
 
     assign(0, seed)
     return sorted(set(map(tuple, found)))
+
+
+# -- the element-space lattice: the library's bodies before it moved to
+# class masks, kept to check the class-space rows against
+
+def sweep_conjugation_orbits(G: GroupTable, by) -> tuple[list[np.ndarray], np.ndarray]:
+    """Orbits of conjugation by ``by`` (sorted arrays, by least member) and
+    each element's orbit number; one sweep per orbit."""
+    by = np.unique(np.asarray(list(by), dtype=np.int64))
+    orbit_of = np.full(G.order, -1, dtype=np.int64)
+    orbits = []
+    for x in range(G.order):
+        if orbit_of[x] >= 0:
+            continue
+        orb = np.unique(G.mul[G.mul[by, x], G.inv[by]])
+        orbit_of[orb] = len(orbits)
+        orbits.append(orb)
+    return orbits, orbit_of
+
+
+def product_set_normal_subgroups(G: GroupTable) -> list[tuple[int, ...]]:
+    """All normal subgroups as member tuples, ordered by (size, members):
+    joins of atoms, the closures of single classes, where the join of
+    normal N and A is the product set NA."""
+    classes, _ = sweep_conjugation_orbits(G, range(G.order))
+    atoms = {A.members: A for A in (G.generated_subgroup(c) for c in classes)}
+    trivial = Subgroup(G, [G.id])
+    found = {trivial.members: trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for N in frontier:
+            for A in atoms.values():
+                if A.issubset(N):
+                    continue
+                M = Subgroup(G, np.unique(G.mul[np.ix_(N.members, A.members)]))
+                if M.members not in found:
+                    found[M.members] = M
+                    nxt.append(M)
+        frontier = nxt
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def closure_commutator_subgroup(G: GroupTable, L, Lp) -> tuple[int, ...]:
+    """Members of the subgroup generated by every [l, l'], l in L, l' in L',
+    the commutators taken 64 rows of L at a time."""
+    a_all = np.asarray(L.members)
+    b = np.asarray(Lp.members)
+    comms = np.zeros(G.order, dtype=bool)
+    for start in range(0, len(a_all), 64):
+        a = a_all[start : start + 64]
+        p = G.mul[np.ix_(a, b)]
+        p = G.mul[p, G.inv[a][:, None]]
+        comms[G.mul[p, G.inv[b][None, :]]] = True
+    return G.generated_subgroup(np.flatnonzero(comms)).members
+
+
+def per_normal_divisor_pairs(obj, N, variant: str, prime_def: str) -> np.ndarray:
+    """Bool matrix over the f(G)-orbits for one normal subgroup N: (i, j) is
+    set iff both orbits lie outside N and the spans of their images make a
+    divisor pair modulo N.  Spans are closed once per orbit, normals come
+    from ``product_set_normal_subgroups`` and t2 intersects with a bool
+    product."""
+    H = obj.carrier
+    orbits, orbit_of = sweep_conjugation_orbits(H, obj.structure.image)
+    outside = ~N.mask[[int(o[0]) for o in orbits]]
+    if variant == "t1":
+        normals = product_set_normal_subgroups(H)
+        held_by = np.array([set(M) <= set(N.members) for M in normals])
+        classes, class_of = sweep_conjugation_orbits(H, range(H.order))
+        firsts = [int(c[0]) for c in classes]
+        masks = np.array([[x in set(M) for x in firsts] for M in normals])
+        every = np.arange(H.order)
+        least = np.empty((len(orbits), len(orbits)), dtype=np.int32)
+        for i, orbit in enumerate(orbits):
+            a = int(orbit[0])
+            comm = H.mul[H.mul[H.mul[a, every], H.inv[a]], H.inv[every]]
+            met = np.zeros((len(orbits), len(classes)), dtype=bool)
+            met[orbit_of, class_of[comm]] = True
+            least[i] = np.argmin(met @ ~masks.T, axis=1)
+        held = held_by[least]
+    else:
+        rows: dict = {}
+        span_of = [
+            rows.setdefault(H.generated_subgroup(o).members, len(rows)) for o in orbits
+        ]
+        spans = np.zeros((len(rows), H.order), dtype=bool)
+        for members, r in rows.items():
+            spans[r, list(members)] = True
+        if prime_def == "elementwise":
+            rest = spans & ~N.mask
+        else:
+            coset = H.mul[:, N.mask].min(axis=1)
+            rest = np.zeros_like(spans)
+            r, c = np.nonzero(spans)
+            rest[r, coset[c]] = True
+            rest[:, coset[H.id]] = False
+        held = ~(rest @ rest.T)[np.ix_(span_of, span_of)]
+    return held & outside[:, None] & outside[None, :]

@@ -151,6 +151,14 @@ def test_run_out_of_range_image_exit_1(tmp_path):
     assert "image 9 out of range" in err
 
 
+@pytest.mark.parametrize("images", ["[0]", "[0, 1, 1]"])
+def test_run_wrong_length_image_list_exit_1(images, tmp_path):
+    code, err = _run_program_process(f"group Z2 = cyclic(2)\nggroup X = (Z2 -> Z2) via {images}\n", tmp_path)
+    assert code == 1
+    _assert_one_line(err)
+    assert f"line 2, column 1: expected 2 images for Z2, got {images.count(',') + 1}" in err
+
+
 def test_run_export_into_missing_directory_exit_2(tmp_path):
     code, err = _run_program_process(
         "group Z2 = cyclic(2)\nspec Z2 --variant t2 as S\nexport S --out nodir/s.json\n", tmp_path

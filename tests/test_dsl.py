@@ -185,6 +185,8 @@ _SPEC = _Z2 + "spec Z2 as S\n"
     ("group A = cyclic(2) as B\n", "unexpected trailing 'as'", 1, 21),
     ("group A = nope(2)\n", "unknown group constructor 'nope'", 1, 11),
     ("group A cyclic(2)\n", "expected '=', got 'cyclic'", 1, 9),
+    (_Z2 + "group P = product(A, Z2)\n", "undefined reference 'A'", 2, 1),
+    (_Z2 + "group P = product(Z2, B)\n", "undefined reference 'B'", 2, 1),
     # ggroup
     ("ggroup X = (Z2 -> B) via id\n", "undefined reference 'Z2'", 1, 1),
     (_Z2 + "ggroup X = (B -> Z2) via id\n", "undefined reference 'B'", 2, 1),
