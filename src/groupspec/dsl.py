@@ -232,13 +232,12 @@ def _arrow(p: _LineParser, source: str, target: str) -> tuple[str, str]:
     return a, b
 
 
-def _images(p: _LineParser, bad_col: Optional[int] = None) -> Optional[list[int]]:
-    """``id`` (None) or ``[i, j, ...]``; a bad tag is reported at ``bad_col``
-    (default: the tag's own column)."""
+def _images(p: _LineParser) -> Optional[list[int]]:
+    """``id`` (None) or ``[i, j, ...]``; a bad tag is reported at its own column."""
     if p.accept("["):
         return p.indices()
     if p.name("'id' or image list") != "id":
-        raise DslError("expected 'id' or '[images]'", p.lineno, bad_col or p.tokens[p.pos - 1].col)
+        raise DslError("expected 'id' or '[images]'", p.lineno, p.tokens[p.pos - 1].col)
     return None
 
 
@@ -286,7 +285,7 @@ def _parse_point_arg(p: _LineParser) -> tuple[dict, list[str]]:
 
 def _parse_morphism(p: _LineParser) -> tuple[dict, list[str]]:
     a, b = _arrow(p, "source object", "target object")
-    return {"source": a, "target": b, "images": _images(p, bad_col=1), "flags": p.flags()}, [a, b]
+    return {"source": a, "target": b, "images": _images(p), "flags": p.flags()}, [a, b]
 
 
 def _parse_open(text: str, lineno: int, col: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,18 +55,18 @@ class GGroup:
 
     # -- spans -------------------------------------------------------------
 
+    @cached_property
     def _orbits(self) -> tuple[list[np.ndarray], np.ndarray]:
         """The orbits of conjugation by f(G) and each element's orbit."""
-        if "orbits" not in self._caches:
-            self._caches["orbits"] = self.carrier.conjugation_orbits(self.structure.image)
-        return self._caches["orbits"]
+        return self.carrier.conjugation_orbits(self.structure.image)
 
     def g_span(self, x: int) -> Subgroup:
         """Subgroup of the carrier generated by the f(g)-conjugates of x,
         i.e. by x's orbit under conjugation by f(G)."""
-        spans, span_of = self._spans()
-        return spans[span_of[self._orbits()[1][x]]]
+        spans, span_of = self._spans
+        return spans[span_of[self._orbits[1][x]]]
 
+    @cached_property
     def _spans(self) -> tuple[tuple[Subgroup, ...], np.ndarray]:
         """The distinct spans, and each f(G)-orbit's index among them.
 
@@ -75,29 +76,27 @@ class GGroup:
         the order of x, so one closure serves the orbits of all those
         powers.
         """
-        if "spans" not in self._caches:
-            H = self.carrier
-            orbits, orbit_of = self._orbits()
-            k = len(H.conjugacy_classes())
-            if len(orbits) == k:
-                rows = H._least_normals(np.eye(k, dtype=bool)).tolist()
-                ns = normal_subgroups(H)
-                closures = [ns[r] for r in rows]
-            else:
-                closures = [None] * len(orbits)
-                for i, orbit in enumerate(orbits):
-                    if closures[i] is None:
-                        span = H.generated_subgroup(orbit)
-                        for j in self._power_orbits(int(orbit[0])):
-                            closures[j] = span
-            index: dict[Subgroup, int] = {}
-            span_of = np.array([index.setdefault(S, len(index)) for S in closures])
-            self._caches["spans"] = (tuple(index), span_of)
-        return self._caches["spans"]
+        H = self.carrier
+        orbits, orbit_of = self._orbits
+        k = len(H.conjugacy_classes())
+        if len(orbits) == k:
+            rows = H._least_normals(np.eye(k, dtype=bool)).tolist()
+            ns = normal_subgroups(H)
+            closures = [ns[r] for r in rows]
+        else:
+            closures = [None] * len(orbits)
+            for i, orbit in enumerate(orbits):
+                if closures[i] is None:
+                    span = H.generated_subgroup(orbit)
+                    for j in self._power_orbits(int(orbit[0])):
+                        closures[j] = span
+        index: dict[Subgroup, int] = {}
+        span_of = np.array([index.setdefault(S, len(index)) for S in closures])
+        return tuple(index), span_of
 
     def _power_orbits(self, x: int) -> set[int]:
         """The orbits of the powers x^k with k prime to the order of x."""
-        H, orbit_of = self.carrier, self._orbits()[1]
+        H, orbit_of = self.carrier, self._orbits[1]
         powers = [H.id, x]
         while powers[-1] != H.id:
             powers.append(H.op(powers[-1], x))
@@ -116,7 +115,7 @@ class GGroup:
             proper = normal_subgroups(H)[:-1]  # the last is the carrier
             masks = H.normal_lattice[:-1][:, H.class_partition[1]]
             # blocks of normals keep each block's arrays near 2**22 entries
-            o = len(self._orbits()[0])
+            o = len(self._orbits[0])
             step = max(1, 2 ** 22 // (o * o + o * H.order))
             divided = np.zeros(len(proper), dtype=bool)
             for i in range(0, len(proper), step):
@@ -138,12 +137,12 @@ class GGroup:
         spans with one batched float32 product, exact below 2**24.
         """
         H = self.carrier
-        orbits, _ = self._orbits()
+        orbits, _ = self._orbits
         outside = ~normals[:, [int(o[0]) for o in orbits]]
         if variant == "t1":
-            held = H._normal_containment(normals).T[:, self._commutator_closures()]
+            held = H._normal_containment(normals).T[:, self._commutator_closures]
         else:
-            spans, span_of = self._spans()
+            spans, span_of = self._spans
             spans = np.array([S.mask for S in spans])
             if prime_def == "elementwise":  # S_i & S_j <= N
                 rest = spans[None] & ~normals[:, None, :]
@@ -158,6 +157,7 @@ class GGroup:
             held = (f @ f.transpose(0, 2, 1) == 0)[:, span_of][:, :, span_of]
         return held & outside[:, :, None] & outside[:, None, :]
 
+    @cached_property
     def _commutator_closures(self) -> np.ndarray:
         """least[i, j]: index in ``normal_subgroups`` of the normal closure
         of [S_i, S_j], for the spans of f(G)-orbits i and j.
@@ -168,20 +168,18 @@ class GGroup:
         the classes of [a_i, b], b in orbit j, are all of them.  The closure
         is the first normal subgroup, by size, holding those classes.
         """
-        if "t1" not in self._caches:
-            H = self.carrier
-            classes, class_of = H.class_partition
-            orbits, orbit_of = self._orbits()
-            every = np.arange(H.order)
-            least = np.empty((len(orbits), len(orbits)), dtype=np.int32)
-            for i, orbit in enumerate(orbits):
-                a = int(orbit[0])
-                comm = H.mul[H.mul[H.mul[a, every], H.inv[a]], H.inv[every]]
-                met = np.zeros((len(orbits), len(classes)), dtype=bool)
-                met[orbit_of, class_of[comm]] = True
-                least[i] = H._least_normals(met)
-            self._caches["t1"] = least
-        return self._caches["t1"]
+        H = self.carrier
+        classes, class_of = H.class_partition
+        orbits, orbit_of = self._orbits
+        every = np.arange(H.order)
+        least = np.empty((len(orbits), len(orbits)), dtype=np.int32)
+        for i, orbit in enumerate(orbits):
+            a = int(orbit[0])
+            comm = H.mul[H.mul[H.mul[a, every], H.inv[a]], H.inv[every]]
+            met = np.zeros((len(orbits), len(classes)), dtype=bool)
+            met[orbit_of, class_of[comm]] = True
+            least[i] = H._least_normals(met)
+        return least
 
     # -- divisors of zero --------------------------------------------------
 
@@ -191,7 +189,7 @@ class GGroup:
         H = self.carrier
         if x == H.id:
             raise GroupError("x must be distinct from the identity")
-        _, orbit_of = self._orbits()
+        _, orbit_of = self._orbits
         trivial = H._mask_of([H.id])[None]
         pairs = self._divisor_pairs(trivial, variant, "elementwise")[0]
         hits = np.flatnonzero(pairs[orbit_of[x], orbit_of])

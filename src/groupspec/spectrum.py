@@ -10,6 +10,7 @@ Both are decided by ``GGroup.primes``, for all ideals of an object at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -82,21 +83,20 @@ class Spectrum:
 
     # -- topology ----------------------------------------------------------
 
+    @cached_property
     def _vanishing(self) -> list[frozenset]:
         """V(N) for every normal N of the carrier, in ``normal_subgroups``
         order: the primes whose class masks cover N's."""
-        if "vanishing" not in self._caches:
-            H = self.object.carrier
-            masks = np.array([P.members.mask for P in self.primes], dtype=bool).reshape(-1, H.order)
-            holds = H._normal_containment(masks)
-            self._caches["vanishing"] = [frozenset(np.flatnonzero(row).tolist()) for row in holds]
-        return self._caches["vanishing"]
+        H = self.object.carrier
+        masks = np.array([P.members.mask for P in self.primes], dtype=bool).reshape(-1, H.order)
+        holds = H._normal_containment(masks)
+        return [frozenset(np.flatnonzero(row).tolist()) for row in holds]
 
     def closed_sets(self) -> list[frozenset]:
         """All distinct vanishing sets V(N), N normal in the carrier, small
         to large."""
         if "closed" not in self._caches:
-            closed = set(self._vanishing())
+            closed = set(self._vanishing)
             self._caches["closed"] = sorted(closed, key=lambda c: (len(c), sorted(c)))
         return self._caches["closed"]
 
@@ -163,7 +163,7 @@ def vanishing_set(spec: Spectrum, N: Subgroup) -> frozenset:
     row = N.parent._normal_position.get(N)
     if row is None:
         raise GroupError("vanishing_set needs a normal subgroup")
-    return spec._vanishing()[row]
+    return spec._vanishing[row]
 
 
 def radical(spec: Spectrum, S: Iterable[int]) -> Subgroup:

@@ -225,7 +225,7 @@ _SPEC = _Z2 + "spec Z2 as S\n"
     (_SPEC + "stalk S 0 as\n", "expected result name", 3, 13),
     # morphism
     (_Z2 + "morphism (Z2 -> B) via id\n", "undefined reference 'B'", 2, 1),
-    (_Z2 + "morphism (Z2 -> Z2) via idd\n", "expected 'id' or '[images]'", 2, 1),
+    (_Z2 + "morphism (Z2 -> Z2) via idd\n", "expected 'id' or '[images]'", 2, 25),
     (_Z2 + "morphism (Z2 -> Z2) over id\n", "expected 'via'", 2, 21),
     (_Z2 + "morphism (Z2 -> Z2) id\n", "expected 'via'", 2, 21),
     (_Z2 + "morphism (Z2 -> Z2) via id extra\n", "unexpected trailing 'extra'", 2, 28),

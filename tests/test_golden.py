@@ -1,6 +1,6 @@
-"""`groupspec check all --catalog large --format json` and the transcript of a
-fixed DSL program must stay byte-identical across refactors: their digests are
-pinned here."""
+"""`groupspec check all --format json` on the large and the small catalog and
+the transcript of a fixed DSL program must stay byte-identical across
+refactors: their digests are pinned here."""
 
 import hashlib
 
@@ -14,6 +14,17 @@ def test_check_all_large_json_is_unchanged(tmp_path):
     out = tmp_path / "all.json"
     main(["check", "all", "--catalog", "large", "--format", "json", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+
+# The small catalog has its own repro strings (`--catalog small`) and
+# cor5.1's small-catalog branch, which the large digest does not cover.
+SMALL_SHA256 = "8b339c778cc582187c0ca537c8b34f24cb7cf23b29c37b938425ef2416a76fb0"
+
+
+def test_check_all_small_json_is_unchanged(tmp_path):
+    out = tmp_path / "all.json"
+    main(["check", "all", "--catalog", "small", "--format", "json", "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_SHA256
 
 
 # Sections, stalks, induced morphisms (t1/t2 x both prime definitions, and one

@@ -188,7 +188,7 @@ def test_spans_close_once_per_power_class(monkeypatch):
         )
         fresh.g_span(0)
         monkeypatch.undo()
-        assert (len(fresh._orbits()[0]), len(calls)) == (orbits, closures)
+        assert (len(fresh._orbits[0]), len(calls)) == (orbits, closures)
 
 
 def test_vanishing_sets_are_prime_containments():
@@ -224,7 +224,7 @@ def _perm_groups(draw):
 def test_lattice_on_drawn_permutation_groups(G):
     _check_lattice(G)
     obj = identity_object(G)
-    _same_orbits(obj._orbits(), sweep_conjugation_orbits(G, range(G.order)))
+    _same_orbits(obj._orbits, sweep_conjugation_orbits(G, range(G.order)))
     _check_divisor_pairs(obj)
 
 
