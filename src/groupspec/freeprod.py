@@ -269,15 +269,6 @@ def _words_upto(ctx: WordContext, max_len: int) -> tuple:
     return tuple(enumerate_words(ctx, max_len))
 
 
-@lru_cache(maxsize=32)
-def _commute_index(ctx: WordContext, max_len: int) -> dict:
-    """The words of _words_upto(ctx, max_len) bucketed by _commute_key, in order."""
-    index: dict = {}
-    for y in _words_upto(ctx, max_len):
-        index.setdefault(_commute_key(y), []).append(y)
-    return {key: tuple(words) for key, words in index.items()}
-
-
 _TOKEN = re.compile(r"^(?:(g(\d+))|(X(\d+)(\^(-?\d+))?)|1)$")
 
 
@@ -305,20 +296,22 @@ def parse_word(ctx: WordContext, text: str) -> Word:
 
 def span_generators(w: Word) -> list[Word]:
     """Distinct reduced conjugates c_g * w * c_g^-1 over the coefficients."""
-    ctx = w.context
-    seen = {}
-    for g in range(ctx.group.order):
-        c = conjugate(ctx.constant(g), w)
-        seen.setdefault(c.syllables, c)
-    return list(seen.values())
+    G, s = w.context.group, w.syllables
+    seen = dict.fromkeys(
+        _join(G, _join(G, (("g", g),), s), (("g", G.inverse(g)),)) if g != G.id else s
+        for g in range(G.order)
+    )
+    return [Word(w.context, c) for c in seen]
 
 
 def _spans_commute(x_gens: Sequence[Word], y_gens: Sequence[Word]) -> bool:
-    for a in x_gens:
-        for b in y_gens:
-            if not commutator(a, b).is_identity():
-                return False
-    return True
+    # reduced forms are unique, so ab = ba exactly when the tuples agree
+    G = x_gens[0].context.group
+    return all(
+        _join(G, a.syllables, b.syllables) == _join(G, b.syllables, a.syllables)
+        for a in x_gens
+        for b in y_gens
+    )
 
 
 def _split(w: Word) -> tuple[tuple, tuple]:
@@ -374,6 +367,28 @@ def _commute_key(w: Word) -> tuple:
     G = w.context.group
     r = _join(G, u + p, _inverse_syllables(G, u))
     return ("i", min(r, _inverse_syllables(G, r)))
+
+
+def _commute_bucket(ctx: WordContext, key: tuple, max_len: int) -> list[Word]:
+    """The words of length 1..max_len with _commute_key `key`, in sort_key order.
+
+    The fact behind _commute_key gives each key's words in closed form: a
+    torsion key ("t", u) holds exactly the u*g*u^-1 with g != 1, all of one
+    length since u ends in a letter, and an infinite key ("i", r) the nonzero
+    powers of r, whose length grows with the exponent.
+    """
+    G = ctx.group
+    kind, base = key
+    inv = _inverse_syllables(G, base)
+    if kind == "t":
+        if 2 * Word(ctx, base).length() + 1 > max_len:
+            return []
+        return [Word(ctx, base + (("g", g),) + inv) for g in range(G.order) if g != G.id]
+    words, pos, neg = [], base, inv
+    while (w := Word(ctx, pos)).length() <= max_len:
+        words += [w, Word(ctx, neg)]
+        pos, neg = _join(G, pos, base), _join(G, neg, inv)
+    return sorted(words, key=Word.sort_key)
 
 
 def _recognize_cyclic(gens: Sequence[Word]) -> Optional[tuple[Word, Optional[int]]]:
@@ -454,7 +469,7 @@ def bounded_divisor_witness(
     if variant == "t1":
         # only words sharing x's key can commute with x; a hit is still
         # certified by the commutation test and the span check
-        for y in _commute_index(ctx, max_len).get(_commute_key(x), ()):
+        for y in _commute_bucket(ctx, _commute_key(x), max_len):
             if concat(x, y).syllables != concat(y, x).syllables:
                 continue
             y_gens = span_generators(y)

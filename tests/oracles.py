@@ -4,9 +4,11 @@ These avoid the library's optimized paths: subgroups are closed by
 repeated multiplication to a fixpoint, normal subgroups come from the
 join lattice of conjugacy-class closures, and primality scans every
 pair of spans outside the candidate ideal.  Repeated closures of the
-same generating set are memoized; nothing else is shared.
+same generating set, and the full word index per context and length
+bound, are memoized; nothing else is shared.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -177,12 +179,38 @@ def naive_spectrum(structure, variant: str) -> list[frozenset]:
     return [N for N in candidates if naive_is_prime(structure, N, variant, oracle)]
 
 
+@functools.lru_cache(maxsize=8)
+def _naive_commute_index(ctx, max_len: int) -> dict:
+    index: dict = {}
+    for y in fp.enumerate_words(ctx, max_len):
+        index.setdefault(fp._commute_key(y), []).append(y)
+    return {key: tuple(words) for key, words in index.items()}
+
+
+def naive_commute_bucket(ctx, key, max_len: int) -> tuple:
+    """The words of length <= max_len whose commute key is `key`, in
+    enumeration order, read from an index of every such word keyed by
+    fp._commute_key."""
+    return _naive_commute_index(ctx, max_len).get(key, ())
+
+
+def naive_span_generators(w) -> list:
+    """Distinct conjugates c_g * w * c_g^-1 over every coefficient g, built
+    with the public word operations and deduplicated by syllables."""
+    ctx = w.context
+    seen = {}
+    for g in range(ctx.group.order):
+        c = fp.conjugate(ctx.constant(g), w)
+        seen.setdefault(c.syllables, c)
+    return list(seen.values())
+
+
 def naive_divisor_witness(ctx, x, variant: str, max_len: int):
     """The full-scan bounded divisor search: every word of length <= max_len,
     in enumeration order; the first certified witness wins.  Same results,
     certificates and InconclusiveError messages as
     freeprod.bounded_divisor_witness."""
-    x_gens = fp.span_generators(x)
+    x_gens = naive_span_generators(x)
     if variant == "t2":
         x_cyc = fp._recognize_cyclic(x_gens)
         if x_cyc is None:
@@ -194,7 +222,7 @@ def naive_divisor_witness(ctx, x, variant: str, max_len: int):
             # x and y lie in their spans, so spans commute only if x, y do
             if fp.concat(x, y).syllables != fp.concat(y, x).syllables:
                 continue
-            y_gens = fp.span_generators(y)
+            y_gens = naive_span_generators(y)
             if all(fp.commutator(a, b).is_identity() for a in x_gens for b in y_gens):
                 return y, {
                     "variant": "t1",
@@ -203,7 +231,7 @@ def naive_divisor_witness(ctx, x, variant: str, max_len: int):
                     "checked_pairs": len(x_gens) * len(y_gens),
                 }
         else:
-            y_cyc = fp._recognize_cyclic(fp.span_generators(y))
+            y_cyc = fp._recognize_cyclic(naive_span_generators(y))
             if y_cyc is None:
                 raise fp.InconclusiveError(
                     f"span of candidate {y} not recognized cyclic; "

@@ -1,13 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupspec import freeprod
 from groupspec.fingroup import Homomorphism, cyclic, quaternion8, symmetric
 from groupspec.freeprod import (
     InconclusiveError,
+    _commute_bucket,
     _commute_key,
+    _spans_commute,
     _word_order,
+    _words_upto,
     WordContext,
     WordError,
     bounded_divisor_witness,
@@ -20,9 +25,10 @@ from groupspec.freeprod import (
     parse_word,
     power,
     reduce_syllables,
+    span_generators,
     parse_word as _pw,
 )
-from oracles import naive_divisor_witness
+from oracles import naive_commute_bucket, naive_divisor_witness, naive_span_generators
 
 S3 = symmetric(3)
 CTX = WordContext(S3, 2)
@@ -190,6 +196,23 @@ def test_concat_matches_full_reduction(a_raw, b_raw):
     assert concat(a, b).syllables == reduce_syllables(CTX, a.syllables + b.syllables).syllables
 
 
+@given(st.lists(raw_words(), min_size=1, max_size=3), st.lists(raw_words(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_spans_commute_is_the_commutator_test(xs_raw, ys_raw):
+    xs, ys = [_reduced(r) for r in xs_raw], [_reduced(r) for r in ys_raw]
+    assert _spans_commute(xs, ys) == all(commutator(a, b).is_identity() for a in xs for b in ys)
+    # random words seldom commute, so also try a pair that always does
+    x = xs[0]
+    assert _spans_commute([x], [power(x, 2), inverse(x)])
+
+
+@pytest.mark.parametrize("make", [lambda: S3, quaternion8], ids=["S3", "Q8"])
+@pytest.mark.parametrize("variables", [1, 2])
+def test_span_generators_match_oracle(make, variables):
+    for x in enumerate_words(WordContext(make(), variables), 4):
+        assert span_generators(x) == naive_span_generators(x), str(x)
+
+
 @pytest.mark.parametrize(
     "make,variables,max_len",
     [(lambda: S3, 1, 4), (quaternion8, 1, 4), (lambda: cyclic(2), 2, 3), (lambda: S3, 2, 3)],
@@ -212,6 +235,44 @@ def test_commuting_words_share_a_key(make, variables, max_len):
             elif keys[i][0] == "i":
                 # an infinite-order word is keyed by its root, so the key is exact
                 assert keys[i] != keys[j], (str(x), str(y))
+
+
+# Every key of the words up to `extra` longer than the bound, at every bound
+# up to `top`; S3 and Q8 in two variables take keys from words one longer
+# only, which keeps each case within a few seconds.
+@pytest.mark.parametrize(
+    "make,variables,top,extra",
+    [(lambda: cyclic(2), 1, 5, 2), (lambda: cyclic(3), 1, 5, 2), (lambda: cyclic(4), 1, 5, 2),
+     (lambda: S3, 1, 5, 2), (quaternion8, 1, 5, 2),
+     (lambda: cyclic(2), 2, 4, 2), (lambda: cyclic(3), 2, 4, 2), (lambda: cyclic(4), 2, 4, 2),
+     (lambda: S3, 2, 4, 1), (quaternion8, 2, 4, 1)],
+    ids=["Z2-1", "Z3-1", "Z4-1", "S3-1", "Q8-1", "Z2-2", "Z3-2", "Z4-2", "S3-2", "Q8-2"],
+)
+def test_commute_bucket_matches_full_index(make, variables, top, extra):
+    ctx = WordContext(make(), variables)
+    keys = {_commute_key(x) for x in enumerate_words(ctx, top + extra)}
+    for max_len in range(1, top + 1):
+        for key in keys:
+            got = [y.syllables for y in _commute_bucket(ctx, key, max_len)]
+            assert got == [y.syllables for y in naive_commute_bucket(ctx, key, max_len)], (key, max_len)
+
+
+@pytest.mark.parametrize("make", [lambda: S3, quaternion8], ids=["S3", "Q8"])
+def test_t1_search_never_enumerates(make, monkeypatch):
+    # the words of length <= 12 would be millions; t1 reads one bucket
+    ctx = WordContext(make(), 1)
+    xs = list(enumerate_words(ctx, 3))
+    misses = _words_upto.cache_info().misses
+
+    def refuse(*args):
+        raise AssertionError("t1 search enumerated words")
+
+    monkeypatch.setattr(freeprod, "enumerate_words", refuse)
+    start = time.perf_counter()
+    for x in xs:
+        bounded_divisor_witness(ctx, x, "t1", 12)
+    assert _words_upto.cache_info().misses == misses
+    assert time.perf_counter() - start < 2.0
 
 
 def _outcome(search, ctx, x, variant, max_len):
