@@ -294,14 +294,17 @@ def parse_word(ctx: WordContext, text: str) -> Word:
 # -- divisor-of-zero search ------------------------------------------------
 
 
-def span_generators(w: Word) -> list[Word]:
-    """Distinct reduced conjugates c_g * w * c_g^-1 over the coefficients."""
-    G, s = w.context.group, w.syllables
-    seen = dict.fromkeys(
+def _conjugates(G: GroupTable, s: tuple) -> Iterator[tuple]:
+    """The reduced conjugates c_g * s * c_g^-1, g in index order."""
+    return (
         _join(G, _join(G, (("g", g),), s), (("g", G.inverse(g)),)) if g != G.id else s
         for g in range(G.order)
     )
-    return [Word(w.context, c) for c in seen]
+
+
+def span_generators(w: Word) -> list[Word]:
+    """Distinct reduced conjugates c_g * w * c_g^-1 over the coefficients."""
+    return [Word(w.context, c) for c in dict.fromkeys(_conjugates(w.context.group, w.syllables))]
 
 
 def _spans_commute(x_gens: Sequence[Word], y_gens: Sequence[Word]) -> bool:
@@ -391,57 +394,60 @@ def _commute_bucket(ctx: WordContext, key: tuple, max_len: int) -> list[Word]:
     return sorted(words, key=Word.sort_key)
 
 
-def _recognize_cyclic(gens: Sequence[Word]) -> Optional[tuple[Word, Optional[int]]]:
-    """If all generators lie in one cyclic subgroup, return (root, order)."""
-    gens = [g for g in gens if not g.is_identity()]
-    if not gens:
+def _powers(G: GroupTable, r: tuple, n: int) -> list[tuple]:
+    """r^0, ..., r^(n-1) as syllable tuples."""
+    out, p = [], ()
+    for _ in range(n):
+        out.append(p)
+        p = _join(G, p, r)
+    return out
+
+
+def _recognize_cyclic(w: Word) -> Optional[tuple[Word, Optional[int]]]:
+    """If the span of w (its conjugates by the coefficients) is cyclic, return (root, order).
+
+    w lies in its span and a cyclic group is abelian, so the first conjugate
+    that does not commute with w rejects; only then is the least conjugate
+    tried as the generator of all of them.
+    """
+    G, s = w.context.group, w.syllables
+    if not s:
         return None
-    root = min(gens, key=lambda w: w.sort_key())
+    conj = {}
+    for c in _conjugates(G, s):
+        if c != s and _join(G, c, s) != _join(G, s, c):
+            return None
+        conj[c] = None
+    gens = [Word(w.context, c) for c in conj]
+    root = min(gens, key=Word.sort_key)
     order = _word_order(root)
-    powers = {}
     if order is not None:
-        p = root.context.identity()
-        for k in range(order):
-            powers[p.syllables] = k
-            p = concat(p, root)
+        powers = set(_powers(G, root.syllables, order))
     else:
         max_needed = max(g.length() for g in gens)
-        p = root.context.identity()
-        k = 0
-        while True:
-            powers[p.syllables] = k
-            powers[inverse(p).syllables] = -k
-            if p.length() > max_needed:
+        powers, p = set(), ()
+        for _ in range(4 * max_needed + 9):
+            powers |= {p, _inverse_syllables(G, p)}
+            if Word(w.context, p).length() > max_needed:
                 break
-            p = concat(p, root)
-            k += 1
-            if k > 4 * max_needed + 8:
-                break
-    for g in gens:
-        if g.syllables not in powers:
-            return None
-    return root, order
+            p = _join(G, p, root.syllables)
+    return (root, order) if conj.keys() <= powers else None
 
 
-def _cyclic_intersection_trivial(rx: tuple[Word, Optional[int]], ry: tuple[Word, Optional[int]]) -> bool:
-    """Whether <root_x> and <root_y> intersect trivially in the free product."""
+def _cyclic_intersection_trivial(rx: tuple, ry: tuple, x_powers: set) -> bool:
+    """Whether <root_x> and <root_y> intersect trivially in the free product.
+
+    x_powers holds the nontrivial powers of a finite root_x as syllables.
+    """
     (ux, ox), (uy, oy) = rx, ry
+    G = ux.context.group
     if ox is not None and oy is not None:
-        px, p = set(), ux.context.identity()
-        for _ in range(ox):
-            px.add(p.syllables)
-            p = concat(p, ux)
-        p = uy.context.identity()
-        for _ in range(oy):
-            if p.syllables in px and not p.is_identity():
-                return False
-            p = concat(p, uy)
-        return True
+        return x_powers.isdisjoint(_powers(G, uy.syllables, oy)[1:])
     if (ox is None) != (oy is None):
         # a finite and an infinite cyclic group share only the identity
         return True
     # two infinite cyclics share a nontrivial power iff their roots commute
-    return not commutator(ux, uy).is_identity()
+    return _join(G, ux.syllables, uy.syllables) != _join(G, uy.syllables, ux.syllables)
 
 
 def bounded_divisor_witness(
@@ -465,12 +471,13 @@ def bounded_divisor_witness(
         raise WordError("max_len must be >= 1")
     if x.context != ctx:
         raise WordError("words from different contexts")
-    x_gens = span_generators(x)
+    G = ctx.group
     if variant == "t1":
+        x_gens = span_generators(x)
         # only words sharing x's key can commute with x; a hit is still
         # certified by the commutation test and the span check
         for y in _commute_bucket(ctx, _commute_key(x), max_len):
-            if concat(x, y).syllables != concat(y, x).syllables:
+            if _join(G, x.syllables, y.syllables) != _join(G, y.syllables, x.syllables):
                 continue
             y_gens = span_generators(y)
             if _spans_commute(x_gens, y_gens):
@@ -482,23 +489,25 @@ def bounded_divisor_witness(
                 }
                 return y, cert
         return None
-    x_cyc = _recognize_cyclic(x_gens)
+    x_cyc = _recognize_cyclic(x)
     if x_cyc is None:
         raise InconclusiveError(
             "span of x not recognized cyclic; bounded T2 search unsupported"
         )
+    x_root, x_order = x_cyc
+    x_powers = set(_powers(G, x_root.syllables, x_order)[1:]) if x_order else set()
     for y in _words_upto(ctx, max_len):
-        y_cyc = _recognize_cyclic(span_generators(y))
+        y_cyc = _recognize_cyclic(y)
         if y_cyc is None:
             raise InconclusiveError(
                 f"span of candidate {y} not recognized cyclic; "
                 "canonical-first witness cannot be certified"
             )
-        if _cyclic_intersection_trivial(x_cyc, y_cyc):
+        if _cyclic_intersection_trivial(x_cyc, y_cyc, x_powers):
             cert = {
                 "variant": "t2",
-                "x_root": str(x_cyc[0]),
-                "x_order": x_cyc[1],
+                "x_root": str(x_root),
+                "x_order": x_order,
                 "y_root": str(y_cyc[0]),
                 "y_order": y_cyc[1],
             }

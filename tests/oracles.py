@@ -205,6 +205,72 @@ def naive_span_generators(w) -> list:
     return list(seen.values())
 
 
+def _naive_word_order(w):
+    """Order of w, or None if infinite: a torsion order divides |G|, so the
+    powers up to |G| decide it."""
+    p = w.context.identity()
+    for k in range(1, w.context.group.order + 1):
+        p = fp.concat(p, w)
+        if p.is_identity():
+            return k
+    return None
+
+
+def naive_recognize_cyclic(gens):
+    """(root, order) if every generator is a power of the least nontrivial
+    one, else None; powers built with concat, and for an infinite root up
+    to 4 * (longest generator) + 8 steps."""
+    gens = [g for g in gens if not g.is_identity()]
+    if not gens:
+        return None
+    root = min(gens, key=lambda w: w.sort_key())
+    order = _naive_word_order(root)
+    powers = {}
+    if order is not None:
+        p = root.context.identity()
+        for k in range(order):
+            powers[p.syllables] = k
+            p = fp.concat(p, root)
+    else:
+        max_needed = max(g.length() for g in gens)
+        p = root.context.identity()
+        k = 0
+        while True:
+            powers[p.syllables] = k
+            powers[fp.inverse(p).syllables] = -k
+            if p.length() > max_needed:
+                break
+            p = fp.concat(p, root)
+            k += 1
+            if k > 4 * max_needed + 8:
+                break
+    for g in gens:
+        if g.syllables not in powers:
+            return None
+    return root, order
+
+
+def naive_cyclic_intersection_trivial(rx, ry) -> bool:
+    """Whether the cyclic groups of two (root, order) pairs meet trivially:
+    finite ones by comparing every power, a finite and an infinite one
+    always, two infinite ones iff their roots do not commute."""
+    (ux, ox), (uy, oy) = rx, ry
+    if ox is not None and oy is not None:
+        px, p = set(), ux.context.identity()
+        for _ in range(ox):
+            px.add(p.syllables)
+            p = fp.concat(p, ux)
+        p = uy.context.identity()
+        for _ in range(oy):
+            if p.syllables in px and not p.is_identity():
+                return False
+            p = fp.concat(p, uy)
+        return True
+    if (ox is None) != (oy is None):
+        return True
+    return not fp.commutator(ux, uy).is_identity()
+
+
 def naive_divisor_witness(ctx, x, variant: str, max_len: int):
     """The full-scan bounded divisor search: every word of length <= max_len,
     in enumeration order; the first certified witness wins.  Same results,
@@ -212,7 +278,7 @@ def naive_divisor_witness(ctx, x, variant: str, max_len: int):
     freeprod.bounded_divisor_witness."""
     x_gens = naive_span_generators(x)
     if variant == "t2":
-        x_cyc = fp._recognize_cyclic(x_gens)
+        x_cyc = naive_recognize_cyclic(x_gens)
         if x_cyc is None:
             raise fp.InconclusiveError(
                 "span of x not recognized cyclic; bounded T2 search unsupported"
@@ -231,13 +297,13 @@ def naive_divisor_witness(ctx, x, variant: str, max_len: int):
                     "checked_pairs": len(x_gens) * len(y_gens),
                 }
         else:
-            y_cyc = fp._recognize_cyclic(naive_span_generators(y))
+            y_cyc = naive_recognize_cyclic(naive_span_generators(y))
             if y_cyc is None:
                 raise fp.InconclusiveError(
                     f"span of candidate {y} not recognized cyclic; "
                     "canonical-first witness cannot be certified"
                 )
-            if fp._cyclic_intersection_trivial(x_cyc, y_cyc):
+            if naive_cyclic_intersection_trivial(x_cyc, y_cyc):
                 return y, {
                     "variant": "t2",
                     "x_root": str(x_cyc[0]),

@@ -10,6 +10,7 @@ from groupspec.freeprod import (
     InconclusiveError,
     _commute_bucket,
     _commute_key,
+    _recognize_cyclic,
     _spans_commute,
     _word_order,
     _words_upto,
@@ -28,7 +29,12 @@ from groupspec.freeprod import (
     span_generators,
     parse_word as _pw,
 )
-from oracles import naive_commute_bucket, naive_divisor_witness, naive_span_generators
+from oracles import (
+    naive_commute_bucket,
+    naive_divisor_witness,
+    naive_recognize_cyclic,
+    naive_span_generators,
+)
 
 S3 = symmetric(3)
 CTX = WordContext(S3, 2)
@@ -130,12 +136,26 @@ def test_t2_witness_on_coprime_constants():
     assert cert["x_order"] == 3 and cert["y_order"] == 2
 
 
+X_NOT_CYCLIC = "span of x not recognized cyclic; bounded T2 search unsupported"
+
+
 def test_t2_inconclusive_on_unrecognized_span():
     # the span of a bare variable is not cyclic, so the bounded T2 search
-    # refuses rather than guessing
+    # refuses rather than guessing; benchmarks/child.py parses both messages
     ctx = WordContext(cyclic(2), 1)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as err:
         bounded_divisor_witness(ctx, parse_word(ctx, "X1"), "t2", 2)
+    assert str(err.value) == X_NOT_CYCLIC
+    # a 3-cycle spans a cyclic group, but the first candidate g1 is a
+    # transposition, whose conjugates span all of S3
+    ctx = WordContext(S3, 1)
+    three_cycle = next(g for g in range(S3.order) if S3.element_order(g) == 3)
+    assert S3.element_order(1) == 2
+    with pytest.raises(InconclusiveError) as err:
+        bounded_divisor_witness(ctx, ctx.constant(three_cycle), "t2", 5)
+    assert str(err.value) == (
+        "span of candidate g1 not recognized cyclic; canonical-first witness cannot be certified"
+    )
 
 
 def test_witness_rejects_identity_word():
@@ -300,3 +320,47 @@ def test_bounded_search_matches_full_scan(variant):
         assert _outcome(bounded_divisor_witness, ctx, x, variant, max_len) == _outcome(
             naive_divisor_witness, ctx, x, variant, max_len
         ), str(x)
+
+
+# Every word of length <= 5 over Z2, Z3, Z4, S3 and Q8 in one variable
+# (6,148 words), and of length <= 3 over Z2 and S3 in two variables, searched
+# at max_len 5.  Over a nontrivial group the candidate X1 ends every search
+# that gets past the constants, so only the trivial group, where words are
+# free, reaches two infinite roots.
+@pytest.mark.parametrize(
+    "make,variables,top",
+    [(lambda: cyclic(2), 1, 5), (lambda: cyclic(3), 1, 5), (lambda: cyclic(4), 1, 5),
+     (lambda: S3, 1, 5), (quaternion8, 1, 5), (lambda: cyclic(2), 2, 3), (lambda: S3, 2, 3),
+     (lambda: cyclic(1), 1, 5), (lambda: cyclic(1), 2, 3)],
+    ids=["Z2-1", "Z3-1", "Z4-1", "S3-1", "Q8-1", "Z2-2", "S3-2", "Z1-1", "Z1-2"],
+)
+def test_t2_search_matches_oracle_exhaustively(make, variables, top):
+    ctx = WordContext(make(), variables)
+    for x in enumerate_words(ctx, top):
+        assert _recognize_cyclic(x) == naive_recognize_cyclic(naive_span_generators(x)), str(x)
+        assert _outcome(bounded_divisor_witness, ctx, x, "t2", 5) == _outcome(
+            naive_divisor_witness, ctx, x, "t2", 5
+        ), str(x)
+
+
+@pytest.mark.parametrize("make", [lambda: S3, quaternion8], ids=["S3", "Q8"])
+def test_t2_rejects_before_building_spans(make, monkeypatch):
+    # a conjugate that does not commute with x rejects x before any span
+    # or root is built
+    ctx = WordContext(make(), 1)
+    rejected = [
+        x
+        for x in enumerate_words(ctx, 4)
+        if not all(commutator(c, x).is_identity() for c in naive_span_generators(x))
+    ]
+    assert rejected
+
+    def refuse(*args):
+        raise AssertionError("t2 search built a span or a root")
+
+    monkeypatch.setattr(freeprod, "span_generators", refuse)
+    monkeypatch.setattr(freeprod, "_word_order", refuse)
+    for x in rejected:
+        with pytest.raises(InconclusiveError) as err:
+            bounded_divisor_witness(ctx, x, "t2", 5)
+        assert str(err.value) == X_NOT_CYCLIC, str(x)
