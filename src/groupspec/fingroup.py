@@ -576,7 +576,10 @@ def normal_subgroups(H: GroupTable) -> tuple[Subgroup, ...]:
 
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a (rows along the last axis), for any width."""
+    """One opaque key per row of a (rows along the last axis), for any width:
+    zero-width rows all get the key of a single 0."""
+    if a.shape[-1] == 0:
+        a = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
     a = np.ascontiguousarray(a)
     return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[-1]))).ravel()
 

@@ -22,6 +22,7 @@ from .fingroup import (
     Homomorphism,
     QuotientGroup,
     Subgroup,
+    _row_keys,
     pointwise_table,
     quotient,
     subgroup_product,
@@ -91,6 +92,7 @@ class Scheme(Protocol):
 
     points: tuple
     base: GroupTable
+    structure: Homomorphism  # base -> carrier
 
     def label(self) -> str: ...
     def opens(self) -> list[frozenset]: ...
@@ -99,7 +101,7 @@ class Scheme(Protocol):
     def point_quotient(self, p) -> QuotientGroup: ...
     def section_group(self, U: Iterable) -> "SectionGroup": ...
     def restrict(self, s: SchemeSection, U: frozenset) -> SchemeSection: ...
-    def constant_section(self, U: frozenset, g: int) -> SchemeSection: ...
+    def element_rows(self, U: Iterable, hs: Sequence[int]) -> np.ndarray: ...
     def stalk(self, p) -> tuple["SectionGroup", dict]: ...
     def charts(self) -> list["AffineScheme"]: ...
 
@@ -111,6 +113,11 @@ def _check_point(scheme, point) -> None:
 
 def _open_order(w: frozenset) -> tuple:
     return (len(w), repr(sorted(w, key=repr)))
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
 
 
 def _natural_join(left: tuple, right: tuple) -> tuple:
@@ -130,76 +137,83 @@ def _natural_join(left: tuple, right: tuple) -> tuple:
     return tuple(lpts) + tuple(rpts[i] for i in fresh), rows
 
 
-def _columns(relation: tuple, pts: Sequence) -> list[tuple]:
-    """The relation's rows with their columns in the order of pts."""
-    points, rows = relation
-    order = [points.index(p) for p in pts]
-    return [tuple(row[i] for i in order) for row in rows]
-
-
 class SectionGroup:
-    """Sections over a fixed open, under the pointwise product."""
+    """Sections over a fixed open, under the pointwise product.
 
-    def __init__(self, scheme, open_set: frozenset, elements: Sequence[SchemeSection]):
+    ``rows`` is the group: one row of coset indices per section, columns in
+    sorted point order.  A scheme builds its rows in lexicographic order.
+    """
+
+    def __init__(self, scheme, open_set: frozenset, rows: np.ndarray):
         self.scheme = scheme
         self.open_set = frozenset(open_set)
-        self.elements: tuple[SchemeSection, ...] = tuple(elements)
-        self._index = {s.values: i for i, s in enumerate(self.elements)}
+        self.rows = np.asarray(rows, dtype=np.int64)
         self._ggroup: Optional[GGroup] = None
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def index_of(self, s: SchemeSection) -> int:
-        try:
-            return self._index[s.values]
-        except KeyError:
-            raise SheafError("section does not belong to this group") from None
+        return len(self.rows)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The element rows as one int array, a line per element."""
-        return np.array([s.values for s in self.elements], dtype=np.int64)
+    def elements(self) -> tuple[SchemeSection, ...]:
+        """The sections as objects, for callers that take them one by one."""
+        return tuple(SchemeSection(self.open_set, row) for row in map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row keys in sorted order, and the element each one keys."""
+        keys = _row_keys(self.rows)
+        order = np.argsort(keys)
+        return keys[order], order
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """The element index of each given row, -1 where a row is no section."""
-        n = len(self.elements)
-        _, first, inv = np.unique(
-            np.concatenate([self.rows, rows]), axis=0, return_index=True, return_inverse=True
-        )
-        idx = first[inv.reshape(-1)[n:]]
-        return np.where(idx < n, idx, -1)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[1] != self.rows.shape[1] or not len(self.rows):
+            return np.full(len(rows), -1)
+        keys, order = self._keys
+        want = _row_keys(rows)
+        pos = np.minimum(keys.searchsorted(want), len(keys) - 1)
+        found = order[pos]
+        found[keys[pos] != want] = -1
+        return found
 
-    def constant_index(self, g: int) -> int:
-        return self.index_of(self.scheme.constant_section(self.open_set, g))
+    def _indices(self, rows: np.ndarray) -> np.ndarray:
+        """locate, where every row must be a section."""
+        idx = self.locate(rows)
+        if (idx < 0).any():
+            raise SheafError("section does not belong to this group")
+        return idx
+
+    def index_of(self, s: SchemeSection) -> int:
+        return int(self._indices(np.array([s.values], dtype=np.int64))[0])
 
     def as_ggroup(self) -> GGroup:
         """Materialize the multiplication table; only for small groups."""
         if self._ggroup is None:
-            n = len(self.elements)
+            n = len(self.rows)
             if n > SECTION_TABLE_CAP:
                 raise SheafError(
                     f"section group of order {n} exceeds table cap {SECTION_TABLE_CAP}"
                 )
             factors = [self.scheme.point_quotient(p).table for p in sorted(self.open_set)]
             try:
-                mul = pointwise_table(factors, [s.values for s in self.elements])
+                mul = pointwise_table(factors, self.rows)
             except GroupError:
                 raise SheafError("product of sections is not a section") from None
             table = GroupTable(mul, name=f"O({len(self.open_set)}pts)", validate=False)
-            G = self.scheme.base
-            structure = Homomorphism(G, table, [self.constant_index(g) for g in range(G.order)])
-            self._ggroup = GGroup(G, table, structure)
+            # the constant sections: the rows of the structure map's images
+            scheme = self.scheme
+            constants = self._indices(scheme.element_rows(self.open_set, scheme.structure.image))
+            self._ggroup = GGroup(scheme.base, table, Homomorphism(scheme.base, table, constants))
         return self._ggroup
 
     def restriction_indices(self, smaller: "SectionGroup") -> list[int]:
         """Index map of the restriction to a smaller open's section group."""
         if not smaller.open_set <= self.open_set:
             raise SheafError("restriction target is not a subset")
-        return [
-            smaller.index_of(self.scheme.restrict(s, smaller.open_set))
-            for s in self.elements
-        ]
+        at = _positions(self.open_set)
+        cols = [at[p] for p in _positions(smaller.open_set)]
+        return smaller._indices(self.rows[:, cols]).tolist()
 
 
 # -- affine schemes --------------------------------------------------------
@@ -251,15 +265,24 @@ class AffineScheme:
         of P_p cover the carrier, so every h realizes a value at p."""
         if p not in self._images:
             mo = tuple(sorted(self.minimal_open(p)))
-            projections = np.array([self.point_quotient(r).projection.image for r in mo]).T
-            image = sorted(set(map(tuple, projections.tolist())))
-            self._images[p] = (mo, image)
+            rows = self.element_rows(mo, range(self.structure.target.order))
+            self._images[p] = (mo, sorted(set(map(tuple, rows.tolist()))))
         return self._images[p]
 
-    # -- section arithmetic ------------------------------------------------
+    @cached_property
+    def _projections(self) -> np.ndarray:
+        """Entry [h, i]: the coset index of carrier element h at the i-th
+        point in sorted order."""
+        cols = [self.point_quotient(p).projection.image for p in sorted(self.points)]
+        return np.array(cols, dtype=np.int64).reshape(len(cols), self.structure.target.order).T
 
-    def constant_section(self, U: frozenset, g: int) -> SchemeSection:
-        return self.section_from_element(U, self.structure(g))
+    def element_rows(self, U: Iterable, hs: Sequence[int]) -> np.ndarray:
+        """The rows of the sections of carrier elements hs over U, one per
+        element, gathered from the projections."""
+        at = _positions(frozenset(self.points))
+        return self._projections.take(hs, axis=0).take([at[p] for p in sorted(U)], axis=1)
+
+    # -- section arithmetic ------------------------------------------------
 
     def section_from_element(self, U: frozenset, h: int) -> SchemeSection:
         row = tuple(self.point_quotient(p).projection(h) for p in sorted(U))
@@ -278,20 +301,20 @@ class AffineScheme:
         if U not in self._sections:
             if not self.is_open(U):
                 raise SheafError(f"{sorted(U, key=self._message_order)} is not open")
-            out = [SchemeSection(U, row) for row in self._join(sorted(U))]
-            self._sections[U] = SectionGroup(self, U, out)
+            self._sections[U] = SectionGroup(self, U, self._join(sorted(U)))
         return self._sections[U]
 
-    def _join(self, pts: list) -> list[tuple]:
-        """Value tuples over pts (an open, sorted) lying in every point's
-        local image, in lexicographic order.
+    def _join(self, pts: list) -> np.ndarray:
+        """The rows over pts (an open, sorted) lying in every point's local
+        image, in lexicographic order.
 
         Points with larger minimal opens join first; a later point whose
         minimal open is already bound only filters the rows.
         """
         order = sorted(pts, key=lambda p: (-len(self.minimal_open(p)), p))
-        joined = reduce(_natural_join, map(self._local_image, order), ((), [()]))
-        return sorted(_columns(joined, pts))
+        points, rows = reduce(_natural_join, map(self._local_image, order), ((), [()]))
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(points))
+        return _sorted_rows(rows[:, [points.index(p) for p in pts]])
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
@@ -300,18 +323,11 @@ class AffineScheme:
         group = self.section_group(mo)
         rad = point_radical(self.spectrum, p)
         q = quotient(self.spectrum.object.carrier, rad)
-        images = set()
-        injective = True
-        for h in q.reps:
-            s = self.section_from_element(mo, h)
-            idx = group.index_of(s)
-            if idx in images:
-                injective = False
-            images.add(idx)
+        images = group._indices(self.element_rows(mo, q.reps)).tolist()
         report = {
             "from_quotient": q,
-            "surjective": len(images) == len(group),
-            "injective": injective,
+            "surjective": len(set(images)) == len(group),
+            "injective": len(set(images)) == len(images),
         }
         return group, report
 
@@ -348,7 +364,6 @@ class GluedScheme:
         self.points = tuple(
             [("L", p) for p in X1.points] + [("R", q) for q in X2.points if q not in self.U]
         )
-        self._minimal_opens: dict = {}
         self._sections: dict[frozenset, SectionGroup] = {}
 
     def label(self) -> str:
@@ -381,13 +396,18 @@ class GluedScheme:
     def is_open(self, W: Iterable) -> bool:
         return frozenset(W) in self._open_set
 
+    @cached_property
+    def _minimal_opens(self) -> dict:
+        """Each point's minimal open: the meet of the opens around it."""
+        out = dict.fromkeys(self.points, frozenset(self.points))
+        for W in self._opens:
+            for point in W:
+                out[point] &= W
+        return out
+
     def minimal_open(self, point) -> frozenset:
         if point not in self._minimal_opens:
-            acc = frozenset(self.points)
-            for W in self._opens:
-                if point in W:
-                    acc &= W
-            self._minimal_opens[point] = acc
+            _check_point(self, point)
         return self._minimal_opens[point]
 
     # -- sections ----------------------------------------------------------
@@ -408,8 +428,9 @@ class GluedScheme:
     # a glued open's sections are the join of its points' local images too
     section_group = AffineScheme.section_group
     _join = AffineScheme._join
+    _projections = AffineScheme._projections
+    element_rows = AffineScheme.element_rows
     section_from_element = AffineScheme.section_from_element
-    constant_section = AffineScheme.constant_section
     restrict = AffineScheme.restrict
 
     def stalk(self, point) -> tuple[SectionGroup, dict]:
@@ -502,9 +523,7 @@ class SchemeMorphism:
                 raise SheafError("geometric map is not continuous")
         for U in opens:
             GW = self.source.section_group(self.preimage(U))
-            pulled = self._pull(self.target.section_group(U).rows, U)
-            if (GW.locate(pulled) < 0).any():
-                raise SheafError("section does not belong to this group")
+            GW._indices(self._pull(self.target.section_group(U).rows, U))
         # a section has the identity value at f(p) iff its pullback has it at p
         local = True
         for p, q in self.point_map.items():
@@ -600,39 +619,60 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
 
 
 def check_sheaf_axioms(scheme) -> dict:
-    """Identity and gluing on pair covers and minimal-open covers of each open."""
+    """Identity and gluing on pair covers and minimal-open covers of each open.
+
+    Opens are point bitmasks here, so the pair covers of U are the pairs of
+    its proper sub-opens whose masks join to U's.  Gluing holds on a cover
+    iff the join of its two section groups, sorted, is G(U)'s rows.
+    """
+    opens = scheme.opens()
+    bit = {p: 1 << i for i, p in enumerate(scheme.points)}
+    masks = [sum(bit[p] for p in V) for V in opens]
     checked_pairs = 0
     checked_minimal = 0
-    for U in scheme.opens():
+    for U, u in zip(opens, masks):
         GU = scheme.section_group(U)
-        opens_in_U = [V for V in scheme.opens() if V <= U]
         # pair covers by proper opens (a cover containing U itself glues
         # trivially once the identity axiom holds)
-        for V1, V2 in itertools.combinations(opens_in_U, 2):
-            if V1 | V2 != U or V1 == U or V2 == U:
+        inside = [(V, m) for V, m in zip(opens, masks) if m & u == m != u]
+        for (V1, m1), (V2, m2) in itertools.combinations(inside, 2):
+            if m1 | m2 != u:
                 continue
-            G1, G2 = scheme.section_group(V1), scheme.section_group(V2)
-            joined = _natural_join(
-                (sorted(V1), [s.values for s in G1.elements]),
-                (sorted(V2), [s.values for s in G2.elements]),
-            )
-            if set(_columns(joined, sorted(U))) != {s.values for s in GU.elements}:
+            joined = _join_rows(scheme.section_group(V1), scheme.section_group(V2))
+            if not np.array_equal(_sorted_rows(joined), GU.rows):
                 raise SheafError(
                     f"gluing axiom fails on {sorted(U, key=repr)} = "
                     f"{sorted(V1, key=repr)} | {sorted(V2, key=repr)}"
                 )
             checked_pairs += 1
-        # minimal-open cover: identity axiom
+        # minimal-open cover: identity axiom, on the row's column blocks
         if U:
-            cover = [scheme.minimal_open(p) for p in U]
-            seen = {}
-            for s in GU.elements:
-                key = tuple(scheme.restrict(s, V).values for V in cover)
-                if key in seen:
-                    raise SheafError("identity axiom fails on the minimal-open cover")
-                seen[key] = s
+            at = _positions(U)
+            blocks = [at[r] for p in sorted(U) for r in _positions(scheme.minimal_open(p))]
+            keys = np.sort(_row_keys(GU.rows[:, blocks]))
+            if (keys[1:] == keys[:-1]).any():
+                raise SheafError("identity axiom fails on the minimal-open cover")
             checked_minimal += 1
     return {"pair_covers": checked_pairs, "minimal_covers": checked_minimal}
+
+
+def _join_rows(G1: SectionGroup, G2: SectionGroup) -> np.ndarray:
+    """The natural join of two section groups on their shared points: every
+    pair of rows agreeing there, as one row over the union in sorted point
+    order.  G2's rows are sorted by shared key; each G1 row takes its run."""
+    at1, at2 = _positions(G1.open_set), _positions(G2.open_set)
+    shared = [p for p in at1 if p in at2]
+    k1 = _row_keys(G1.rows[:, [at1[p] for p in shared]])
+    k2 = _row_keys(G2.rows[:, [at2[p] for p in shared]])
+    order = np.argsort(k2, kind="stable")
+    k2 = k2[order]
+    lo = np.searchsorted(k2, k1, side="left")
+    count = np.searchsorted(k2, k1, side="right") - lo
+    start = np.cumsum(count) - count
+    left = np.repeat(np.arange(len(k1)), count)
+    right = order[np.arange(count.sum()) - np.repeat(start - lo, count)]
+    cols = [at1[p] if p in at1 else len(at1) + at2[p] for p in sorted(G1.open_set | G2.open_set)]
+    return np.concatenate([G1.rows[left], G2.rows[right]], axis=1)[:, cols]
 
 
 def global_sections_vs_quotient(spec: Spectrum) -> dict:
@@ -656,7 +696,7 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
         return {"hypothesis": hypothesis, "isomorphic": len(G) == 1,
                 "sections": len(G), "quotient_order": 1}
     q = quotient(H, rad)
-    images = {G.index_of(X.section_from_element(whole, h)) for h in q.reps}
+    images = set(G._indices(X.element_rows(whole, q.reps)).tolist())
     return {
         "hypothesis": hypothesis,
         "isomorphic": len(images) == q.table.order == len(G),
@@ -688,10 +728,10 @@ def restrictions_are_isomorphisms(spec: Spectrum) -> bool:
 def point_vanishing_ideal(group: SectionGroup, point) -> Ideal:
     """I_P(U) = sections with identity value at the point, as an ideal."""
     gg = group.as_ggroup()
-    scheme = group.scheme
-    members = [
-        i for i, s in enumerate(group.elements) if s.value_at(point) == _id_coset(scheme, point)
-    ]
+    if point not in group.open_set:
+        raise SheafError(f"point {point!r} not in the section domain")
+    values = group.rows[:, _positions(group.open_set)[point]]
+    members = np.flatnonzero(values == _id_coset(group.scheme, point)).tolist()
     return Ideal(gg, Subgroup(gg.carrier, members))
 
 
@@ -729,7 +769,8 @@ def noetherian_sections(spec: Spectrum) -> dict:
     whole = frozenset(X.points)
     G = X.section_group(whole)
     # natural comparison: a section is sent to its values at the generic points
-    keys = [tuple(s.value_at(g) for g in generics) for s in G.elements]
+    at = _positions(whole)
+    keys = list(map(tuple, G.rows[:, [at[g] for g in generics]].tolist()))
     image = set(keys)
     iso = len(image) == len(keys) and image == set(tuples)
     return {
@@ -777,10 +818,7 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
     def Phi(m: SchemeMorphism) -> Optional[int]:
         """Index of the G-morphism matching the global pullback of m."""
         whole_Y = frozenset(Y.points)
-        image = [
-            GX.index_of(m.pullback(Y.section_from_element(whole_Y, lift[a])))
-            for a in range(A.carrier.order)
-        ]
+        image = GX._indices(m._pull(Y.element_rows(whole_Y, lift), whole_Y)).tolist()
         return next((i for i, v in enumerate(homs) if list(v.map.image) == image), None)
 
     def Psi(vi: int) -> SchemeMorphism:

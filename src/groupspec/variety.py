@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .fingroup import GroupTable, Homomorphism, Subgroup, _check_order, pointwise_table
+import numpy as np
+
+from .fingroup import GroupTable, Homomorphism, Subgroup, _check_order, _row_keys, pointwise_table
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
 from .gobject import GGroup, enumerate_g_morphisms, identity_object
 
@@ -114,39 +116,51 @@ class FunctionGroup:
         return GGroup(G, table, structure)
 
 
-def _pointwise(G: GroupTable, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(G.op(x, y) for x, y in zip(a, b))
-
-
 def coordinate_group(V: VarietySet) -> FunctionGroup:
-    """Pointwise-product closure of the constants and coordinate functions."""
+    """Pointwise-product closure of the constants and coordinate functions.
+
+    Breadth first from the generators.  A frontier block's products with
+    every generator come from one gather on G's table; a product new to the
+    closure gets the witness of its first occurrence in (frontier,
+    generator) order, the frontier's word times the generator's.
+    """
     G = V.group
     ctx = V.context()
     if not V.points:
         return FunctionGroup(V, ((),), {(): ctx.identity()})
-    gens: list[tuple[tuple[int, ...], Word]] = []
-    for g in range(G.order):
-        gens.append((tuple(g for _ in V.points), ctx.constant(g)))
-    for i in range(1, V.nvars + 1):
-        gens.append((tuple(p[i - 1] for p in V.points), ctx.letter(i)))
+    width = len(V.points)
+    gens = np.vstack([
+        np.repeat(np.arange(G.order)[:, None], width, axis=1),
+        np.array(V.points, dtype=np.int64).T,
+    ]).astype(G.mul.dtype)
+    gen_words = [ctx.constant(g) for g in range(G.order)]
+    gen_words += [ctx.letter(i) for i in range(1, V.nvars + 1)]
     witnesses: dict[tuple[int, ...], Word] = {}
-    for vals, w in gens:
+    for vals, w in zip(map(tuple, gens.tolist()), gen_words):
         if vals not in witnesses or w.length() < witnesses[vals].length():
             witnesses[vals] = w
-    frontier = list(witnesses)
-    while frontier:
-        new = []
-        for vals in frontier:
-            for gvals, gw in gens:
-                prod = _pointwise(G, vals, gvals)
-                if prod not in witnesses:
-                    witnesses[prod] = concat(witnesses[vals], gw)
-                    new.append(prod)
-                    if len(witnesses) > CLOSURE_CAP:
-                        raise VarietyError(
-                            f"function-group closure exceeded cap {CLOSURE_CAP}"
-                        )
-        frontier = new
+    frontier = np.array(list(witnesses), dtype=G.mul.dtype)
+    words = list(witnesses.values())
+    known = np.sort(_row_keys(frontier))
+    step = max(1, 2 ** 18 // (len(gens) * width))  # frontier rows per gather
+    while len(frontier):
+        new, new_words = [], []
+        for lo in range(0, len(frontier), step):
+            prods = G.mul[frontier[lo : lo + step, None, :], gens[None, :, :]].reshape(-1, width)
+            keys = _row_keys(prods)
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            pos = np.minimum(np.searchsorted(known, keys[first]), len(known) - 1)
+            fresh = first[known[pos] != keys[first]]
+            if len(witnesses) + len(fresh) > CLOSURE_CAP:
+                raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
+            for f, vals in zip(fresh.tolist(), prods[fresh].tolist()):
+                i, j = divmod(f, len(gens))
+                witnesses[tuple(vals)] = w = concat(words[lo + i], gen_words[j])
+                new_words.append(w)
+            new.append(prods[fresh])
+            known = np.sort(np.concatenate([known, keys[fresh]]))
+        frontier, words = np.concatenate(new), new_words
     elements = tuple(sorted(witnesses))
     return FunctionGroup(V, elements, witnesses)
 

@@ -16,6 +16,7 @@ import numpy as np
 from groupspec import freeprod as fp
 from groupspec.fingroup import GroupError, GroupTable, Homomorphism, Subgroup
 from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
+from groupspec.variety import CLOSURE_CAP, FunctionGroup, VarietyError
 
 
 def _all(G: GroupTable) -> np.ndarray:
@@ -416,6 +417,36 @@ def naive_function_table(F) -> list[list[int]]:
         [where[tuple(int(G.mul[a, b]) for a, b in zip(s, t))] for t in F.elements]
         for s in F.elements
     ]
+
+
+def naive_coordinate_group(V) -> FunctionGroup:
+    """The function group of a variety by a breadth-first closure of the
+    constants and coordinates, one pointwise product at a time; a new value
+    tuple keeps the first word that reached it (frontier, then generator
+    order), the frontier's word times the generator's."""
+    G = V.group
+    ctx = V.context()
+    if not V.points:
+        return FunctionGroup(V, ((),), {(): ctx.identity()})
+    gens = [(tuple(g for _ in V.points), ctx.constant(g)) for g in range(G.order)]
+    gens += [(tuple(p[i - 1] for p in V.points), ctx.letter(i)) for i in range(1, V.nvars + 1)]
+    witnesses = {}
+    for vals, w in gens:
+        if vals not in witnesses or w.length() < witnesses[vals].length():
+            witnesses[vals] = w
+    frontier = list(witnesses)
+    while frontier:
+        new = []
+        for vals in frontier:
+            for gvals, gw in gens:
+                prod = tuple(G.op(x, y) for x, y in zip(vals, gvals))
+                if prod not in witnesses:
+                    witnesses[prod] = fp.concat(witnesses[vals], gw)
+                    new.append(prod)
+                    if len(witnesses) > CLOSURE_CAP:
+                        raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
+        frontier = new
+    return FunctionGroup(V, tuple(sorted(witnesses)), witnesses)
 
 
 def naive_greedy_generators(G: GroupTable) -> list[int]:

@@ -1,11 +1,14 @@
+import importlib.util
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupspec.catalog import small_catalog
+from groupspec.dsl import parse_program, run_program
 from groupspec.fingroup import (
     Homomorphism,
     alternating,
@@ -17,11 +20,13 @@ from groupspec.fingroup import (
     symmetric,
 )
 from groupspec.gobject import GGroup, GMorphism, identity_object
-from groupspec.spectrum import Ideal, quotient_object, spectrum, whole_radical
+from groupspec.spectrum import Ideal, Spectrum, quotient_object, spectrum, whole_radical
 from groupspec.sheaf import (
     AffineScheme,
+    GluedScheme,
     Scheme,
     SchemeMorphism,
+    SchemeSection,
     SheafError,
     affine_scheme,
     check_sheaf_axioms,
@@ -468,3 +473,93 @@ def test_one_spectrum_and_one_scheme_per_object():
                 assert spectrum(obj, variant, prime_def) is sp, name
                 assert affine_scheme(sp) is affine_scheme(sp), name
     assert AffineScheme(sp) is not affine_scheme(sp)  # direct construction still works
+
+
+# -- the row array and its key index ----------------------------------------
+
+
+def _schemes_program(seed: int) -> str:
+    """The benchmark's seeded `schemes` DSL program."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("groupspec_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_input("schemes", seed)
+
+
+def _program_section_groups(interp):
+    """Every section group the program's schemes built."""
+    schemes = [affine_scheme(v) for v in interp.env.values() if isinstance(v, Spectrum)]
+    schemes += [v for v in interp.env.values() if isinstance(v, GluedScheme)]
+    return [G for X in schemes for G in list(X._sections.values())]
+
+
+def _check_locate_against_dict(G):
+    """locate and index_of on the group's rows and on each row with one
+    column moved to another coset, against a dict of row tuples."""
+    where = {row: i for i, row in enumerate(map(tuple, G.rows.tolist()))}
+    assert G.locate(G.rows).tolist() == list(range(len(G)))
+    probes = [G.rows]
+    for c, p in enumerate(sorted(G.open_set)):
+        moved = G.rows.copy()
+        moved[:, c] = (moved[:, c] + 1) % G.scheme.point_quotient(p).table.order
+        probes.append(moved)
+    rows = np.concatenate(probes)
+    want = [where.get(row, -1) for row in map(tuple, rows.tolist())]
+    assert G.locate(rows).tolist() == want
+    for row, i in itertools.islice(zip(map(tuple, rows.tolist()), want), 0, None, 7):
+        s = SchemeSection(G.open_set, row)
+        if i < 0:
+            with pytest.raises(SheafError, match="section does not belong to this group"):
+                G.index_of(s)
+        else:
+            assert G.index_of(s) == i
+    # a row of another width is no section
+    assert G.locate(np.zeros((2, len(G.open_set) + 1), dtype=np.int64)).tolist() == [-1, -1]
+
+
+def test_locate_matches_a_dict_of_rows_on_the_schemes_program():
+    interp = run_program(_schemes_program(1))
+    groups = _program_section_groups(interp)
+    assert len(groups) > 50
+    for G in groups:
+        _check_locate_against_dict(G)
+
+
+def test_locate_on_the_empty_open():
+    for X in [_s5_scheme(), *_glued_examples()]:
+        G = X.section_group(frozenset())
+        assert G.rows.shape == (1, 0) and len(G) == 1
+        assert G.locate(np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+        assert G.index_of(SchemeSection(frozenset(), ())) == 0
+        assert G.locate(np.zeros((1, 1), dtype=np.int64)).tolist() == [-1]
+        with pytest.raises(SheafError, match="section does not belong to this group"):
+            G.index_of(SchemeSection(frozenset(), (0,)))
+        assert G.as_ggroup().carrier.order == 1
+
+
+def test_element_rows_match_section_from_element():
+    schemes = [AffineScheme(spectrum(obj, "t2")) for _, obj in small_catalog()]
+    for X in schemes + _glued_examples():
+        hs = list(range(X.structure.target.order))
+        for U in X.opens():
+            rows = X.element_rows(U, hs)
+            assert rows.shape == (len(hs), len(U))
+            assert [tuple(r) for r in rows.tolist()] == [X.section_from_element(U, h).values for h in hs]
+            assert X.element_rows(U, hs[::-1]).tolist() == rows[::-1].tolist()
+
+
+def test_statements_build_no_section_objects(monkeypatch):
+    """sections, morphism, stalk and export work on rows alone: the seed-1
+    program runs, with the same transcript, while building a SchemeSection
+    raises."""
+    text = _schemes_program(1)
+    want = run_program(text).outputs
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SchemeSection was built")
+
+    monkeypatch.setattr(SchemeSection, "__init__", refuse)
+    kinds = {st.kind for st in parse_program(text).statements}
+    assert {"sections", "morphism", "stalk", "export"} <= kinds
+    assert run_program(text).outputs == want

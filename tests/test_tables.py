@@ -76,7 +76,7 @@ def test_products_outside_the_rows_raise():
     G = X.section_group(whole)
     table = G.as_ggroup().carrier
     s = next(i for i in range(len(G)) if table.element_order(i) >= 3)
-    part = SectionGroup(X, whole, [G.elements[table.id], G.elements[s]])
+    part = SectionGroup(X, whole, G.rows[[table.id, s]])
     with pytest.raises(SheafError, match="product of sections is not a section"):
         part.as_ggroup()
     F = coordinate_group(variety_of(Z3, 1, []))

@@ -1,17 +1,22 @@
 import itertools
+import random
 
 import pytest
 
+from groupspec.catalog import small_catalog
 from groupspec.fingroup import Subgroup, alternating, cyclic, normal_subgroups, symmetric
 from groupspec.freeprod import WordContext, evaluate, parse_word
 from groupspec.variety import (
     VarietyError,
+    VarietySet,
     coordinate_group,
     hom_variety_correspondence,
     maximality_probe,
     variety_of,
     zariski_closed_sets,
 )
+
+from oracles import naive_coordinate_group
 
 Z2 = cyclic(2)
 S3 = symmetric(3)
@@ -142,3 +147,55 @@ def test_hom_correspondence_line_to_point():
     corr = hom_variety_correspondence(V, P, "t2")
     assert len(corr.variety_morphisms) == 1
     assert len(corr.g_morphisms) == 1
+
+
+def _same_function_group(F, want):
+    assert F.elements == want.elements
+    assert {v: w.syllables for v, w in F.witnesses.items()} == {
+        v: w.syllables for v, w in want.witnesses.items()
+    }
+
+
+def test_coordinate_group_matches_naive_closure_on_audit_varieties(monkeypatch):
+    """Every variety the prop3.x suites build, on both catalogs: the same
+    elements and the same witness words as the one-product-at-a-time
+    closure."""
+    from groupspec import checks, variety
+
+    built = []
+
+    def keep(V):
+        built.append(V)
+        return coordinate_group(V)
+
+    monkeypatch.setattr(variety, "coordinate_group", keep)
+    monkeypatch.setattr(checks, "coordinate_group", keep)
+    for cat in ("small", "large"):
+        for suite in ("prop3.1", "prop3.2", "prop3.3", "prop3.4", "prop3.5"):
+            checks.run_suite(suite, cat)
+    assert len(built) > 20
+    for V in built:
+        _same_function_group(coordinate_group(V), naive_coordinate_group(V))
+
+
+def test_coordinate_group_matches_naive_closure_on_point_sets():
+    rng = random.Random(7)
+    for G in [obj.carrier for _, obj in small_catalog()] + [A5]:
+        for nvars in (1, 2):
+            space = list(itertools.product(range(G.order), repeat=nvars))
+            for k in (1, 2) if G.order > 24 else (1, 2, 3):  # A5^3 passes the cap
+                V = VarietySet(G, nvars, (), tuple(sorted(rng.sample(space, min(k, len(space))))))
+                _same_function_group(coordinate_group(V), naive_coordinate_group(V))
+        V = variety_of(G, 0, [])  # the one empty point
+        _same_function_group(coordinate_group(V), naive_coordinate_group(V))
+
+
+def test_coordinate_group_keeps_the_closure_cap(monkeypatch):
+    from groupspec import variety
+
+    line = variety_of(cyclic(3), 1, [])  # all 9 maps of 3 points into Z3
+    monkeypatch.setattr(variety, "CLOSURE_CAP", 9)
+    assert len(coordinate_group(line)) == 9
+    monkeypatch.setattr(variety, "CLOSURE_CAP", 8)
+    with pytest.raises(VarietyError, match="function-group closure exceeded cap 8"):
+        coordinate_group(line)
