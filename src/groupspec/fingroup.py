@@ -586,17 +586,20 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
 
 def _row_index(rows: np.ndarray):
     """A lookup from arrays of rows like ``rows`` to their indices in
-    ``rows``, by sorted row keys; a row that is not in ``rows`` raises."""
+    ``rows``, by sorted row keys; -1 where a row is not in ``rows`` (also
+    for every row when the widths differ or ``rows`` is empty)."""
+    rows = np.asarray(rows)
     keys = _row_keys(rows)
     order = np.argsort(keys)
     ordered = keys[order]
 
     def find(a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=rows.dtype)
+        if not len(ordered) or a.shape[-1] != rows.shape[-1]:
+            return np.full(a.shape[:-1], -1).ravel()
         want = _row_keys(a)
         pos = np.minimum(np.searchsorted(ordered, want), len(ordered) - 1)
-        if not (ordered[pos] == want).all():
-            raise GroupError("pointwise product is not a row")
-        return order[pos]
+        return np.where(ordered[pos] == want, order[pos], -1)
 
     return find
 
@@ -623,8 +626,15 @@ def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]
     find = _row_index(R)
     table = np.empty((n, n), dtype=_dtype_for(n))
     for i in range(n):
-        table[i] = find(flat[left[i] + R])
+        table[i] = _found(find(flat[left[i] + R]))
     return table
+
+
+def _found(idx: np.ndarray) -> np.ndarray:
+    """Indices from a ``_row_index`` lookup that must all be hits."""
+    if (idx < 0).any():
+        raise GroupError("pointwise product is not a row")
+    return idx
 
 
 def is_simple(H: GroupTable) -> bool:
@@ -658,7 +668,7 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> GroupTable:
     mul = np.empty((n, n), dtype=_dtype_for(n))
     step = max(1, 2 ** 16 // n)  # rows per block: about 2**16 products
     for i in range(0, n, step):
-        mul[i : i + step] = find(P[i : i + step][:, P]).reshape(-1, n)
+        mul[i : i + step] = _found(find(P[i : i + step][:, P])).reshape(-1, n)
     return GroupTable(mul, labels=[_cycle_label(p) for p in perms], name=name, validate=False)
 
 

@@ -22,6 +22,7 @@ from .fingroup import (
     Homomorphism,
     QuotientGroup,
     Subgroup,
+    _row_index,
     _row_keys,
     pointwise_table,
     quotient,
@@ -121,20 +122,32 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _natural_join(left: tuple, right: tuple) -> tuple:
-    """The natural join of two relations (points, rows) on their shared
-    points: each left row, in order, extended by every matching right row."""
+    """The natural join of two relations (points, rows array) on their
+    shared points: each left row, in order, extended by every matching right
+    row.  The right rows are sorted by shared key, so each left row takes
+    one run of them."""
     (lpts, lrows), (rpts, rrows) = left, right
     col = {r: i for i, r in enumerate(lpts)}
     shared = [i for i, r in enumerate(rpts) if r in col]
     fresh = [i for i, r in enumerate(rpts) if r not in col]
-    extend: dict = {}
-    for key in rrows:
-        extend.setdefault(tuple(key[i] for i in shared), []).append(
-            tuple(key[i] for i in fresh)
-        )
-    at = [col[rpts[i]] for i in shared]
-    rows = [row + tail for row in lrows for tail in extend.get(tuple(row[i] for i in at), ())]
+    want = _row_keys(lrows[:, [col[rpts[i]] for i in shared]])
+    keys = _row_keys(rrows[:, shared])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    lo = keys.searchsorted(want, "left")
+    count = keys.searchsorted(want, "right") - lo
+    run = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    rows = np.concatenate([lrows.repeat(count, axis=0), rrows[order[run]][:, fresh]], axis=1)
     return tuple(lpts) + tuple(rpts[i] for i in fresh), rows
+
+
+def _joined_rows(relations: Iterable[tuple], pts: Sequence) -> np.ndarray:
+    """The natural join of the relations, columns in the order of pts and
+    rows in lexicographic order."""
+    relations = iter(relations)
+    empty = ((), np.zeros((1, 0), dtype=np.int64))  # the join's unit: one empty row
+    points, rows = reduce(_natural_join, relations, next(relations, empty))
+    return _sorted_rows(rows[:, [points.index(p) for p in pts]])
 
 
 class SectionGroup:
@@ -159,23 +172,13 @@ class SectionGroup:
         return tuple(SchemeSection(self.open_set, row) for row in map(tuple, self.rows.tolist()))
 
     @cached_property
-    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row keys in sorted order, and the element each one keys."""
-        keys = _row_keys(self.rows)
-        order = np.argsort(keys)
-        return keys[order], order
+    def _find(self):
+        """The group's one row lookup (``fingroup._row_index``)."""
+        return _row_index(self.rows)
 
     def locate(self, rows: np.ndarray) -> np.ndarray:
         """The element index of each given row, -1 where a row is no section."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[1] != self.rows.shape[1] or not len(self.rows):
-            return np.full(len(rows), -1)
-        keys, order = self._keys
-        want = _row_keys(rows)
-        pos = np.minimum(keys.searchsorted(want), len(keys) - 1)
-        found = order[pos]
-        found[keys[pos] != want] = -1
-        return found
+        return self._find(rows)
 
     def _indices(self, rows: np.ndarray) -> np.ndarray:
         """locate, where every row must be a section."""
@@ -238,7 +241,7 @@ class AffineScheme:
         self.points: tuple = tuple(range(len(spec.primes)))
         self._sections: dict[frozenset, SectionGroup] = {}
         self._quotients: dict[int, QuotientGroup] = {}
-        self._images: dict[int, tuple[tuple, list]] = {}
+        self._images: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def label(self) -> str:
         return f"Spec_{self.spectrum.variant}({self.spectrum.object.label()})"
@@ -259,14 +262,15 @@ class AffineScheme:
             )
         return self._quotients[p]
 
-    def _local_image(self, p: int) -> tuple[tuple, list]:
-        """(sorted minopen(p), image): image lists the distinct tuples of
+    def _local_image(self, p: int) -> tuple[tuple, np.ndarray]:
+        """(sorted minopen(p), image): image holds the distinct rows of
         coset indices over minopen(p) of the carrier's elements.  The cosets
         of P_p cover the carrier, so every h realizes a value at p."""
         if p not in self._images:
             mo = tuple(sorted(self.minimal_open(p)))
             rows = self.element_rows(mo, range(self.structure.target.order))
-            self._images[p] = (mo, sorted(set(map(tuple, rows.tolist()))))
+            image = sorted(set(map(tuple, rows.tolist())))
+            self._images[p] = (mo, np.array(image, dtype=np.int64).reshape(len(image), len(mo)))
         return self._images[p]
 
     @cached_property
@@ -312,9 +316,7 @@ class AffineScheme:
         minimal open is already bound only filters the rows.
         """
         order = sorted(pts, key=lambda p: (-len(self.minimal_open(p)), p))
-        points, rows = reduce(_natural_join, map(self._local_image, order), ((), [()]))
-        rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(points))
-        return _sorted_rows(rows[:, [points.index(p) for p in pts]])
+        return _joined_rows(map(self._local_image, order), pts)
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
@@ -416,7 +418,7 @@ class GluedScheme:
         side, p = point
         return (self.X1 if side == "L" else self.X2).point_quotient(p)
 
-    def _local_image(self, point) -> tuple[tuple, list]:
+    def _local_image(self, point) -> tuple[tuple, np.ndarray]:
         """The chart's local image at the point, over glued labels: a point
         of U keeps its ("L", p) label.  glue admits equal carriers and
         primes only, so at a point of U either chart's image serves, and a
@@ -638,8 +640,9 @@ def check_sheaf_axioms(scheme) -> dict:
         for (V1, m1), (V2, m2) in itertools.combinations(inside, 2):
             if m1 | m2 != u:
                 continue
-            joined = _join_rows(scheme.section_group(V1), scheme.section_group(V2))
-            if not np.array_equal(_sorted_rows(joined), GU.rows):
+            cover = [scheme.section_group(V1), scheme.section_group(V2)]
+            joined = _joined_rows([(tuple(sorted(G.open_set)), G.rows) for G in cover], sorted(U))
+            if not np.array_equal(joined, GU.rows):
                 raise SheafError(
                     f"gluing axiom fails on {sorted(U, key=repr)} = "
                     f"{sorted(V1, key=repr)} | {sorted(V2, key=repr)}"
@@ -654,25 +657,6 @@ def check_sheaf_axioms(scheme) -> dict:
                 raise SheafError("identity axiom fails on the minimal-open cover")
             checked_minimal += 1
     return {"pair_covers": checked_pairs, "minimal_covers": checked_minimal}
-
-
-def _join_rows(G1: SectionGroup, G2: SectionGroup) -> np.ndarray:
-    """The natural join of two section groups on their shared points: every
-    pair of rows agreeing there, as one row over the union in sorted point
-    order.  G2's rows are sorted by shared key; each G1 row takes its run."""
-    at1, at2 = _positions(G1.open_set), _positions(G2.open_set)
-    shared = [p for p in at1 if p in at2]
-    k1 = _row_keys(G1.rows[:, [at1[p] for p in shared]])
-    k2 = _row_keys(G2.rows[:, [at2[p] for p in shared]])
-    order = np.argsort(k2, kind="stable")
-    k2 = k2[order]
-    lo = np.searchsorted(k2, k1, side="left")
-    count = np.searchsorted(k2, k1, side="right") - lo
-    start = np.cumsum(count) - count
-    left = np.repeat(np.arange(len(k1)), count)
-    right = order[np.arange(count.sum()) - np.repeat(start - lo, count)]
-    cols = [at1[p] if p in at1 else len(at1) + at2[p] for p in sorted(G1.open_set | G2.open_set)]
-    return np.concatenate([G1.rows[left], G2.rows[right]], axis=1)[:, cols]
 
 
 def global_sections_vs_quotient(spec: Spectrum) -> dict:

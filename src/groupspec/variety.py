@@ -14,7 +14,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fingroup import GroupTable, Homomorphism, Subgroup, _check_order, _row_keys, pointwise_table
+from .fingroup import (
+    GroupTable,
+    Homomorphism,
+    Subgroup,
+    _check_order,
+    _row_index,
+    _row_keys,
+    pointwise_table,
+)
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
 from .gobject import GGroup, enumerate_g_morphisms, identity_object
 
@@ -139,28 +147,29 @@ def coordinate_group(V: VarietySet) -> FunctionGroup:
     for vals, w in zip(map(tuple, gens.tolist()), gen_words):
         if vals not in witnesses or w.length() < witnesses[vals].length():
             witnesses[vals] = w
-    frontier = np.array(list(witnesses), dtype=G.mul.dtype)
-    words = list(witnesses.values())
-    known = np.sort(_row_keys(frontier))
+    closure = np.array(list(witnesses), dtype=G.mul.dtype)
+    frontier, words = closure, list(witnesses.values())
     step = max(1, 2 ** 18 // (len(gens) * width))  # frontier rows per gather
     while len(frontier):
+        known = _row_index(closure)
         new, new_words = [], []
         for lo in range(0, len(frontier), step):
             prods = G.mul[frontier[lo : lo + step, None, :], gens[None, :, :]].reshape(-1, width)
-            keys = _row_keys(prods)
-            _, first = np.unique(keys, return_index=True)
+            _, first = np.unique(_row_keys(prods), return_index=True)
             first.sort()
-            pos = np.minimum(np.searchsorted(known, keys[first]), len(known) - 1)
-            fresh = first[known[pos] != keys[first]]
-            if len(witnesses) + len(fresh) > CLOSURE_CAP:
-                raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
-            for f, vals in zip(fresh.tolist(), prods[fresh].tolist()):
+            fresh = first[known(prods[first]) < 0]
+            for f, vals in zip(fresh.tolist(), map(tuple, prods[fresh].tolist())):
+                if vals in witnesses:  # met in an earlier block of this frontier
+                    continue
                 i, j = divmod(f, len(gens))
-                witnesses[tuple(vals)] = w = concat(words[lo + i], gen_words[j])
+                witnesses[vals] = w = concat(words[lo + i], gen_words[j])
+                new.append(vals)
                 new_words.append(w)
-            new.append(prods[fresh])
-            known = np.sort(np.concatenate([known, keys[fresh]]))
-        frontier, words = np.concatenate(new), new_words
+                if len(witnesses) > CLOSURE_CAP:
+                    raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
+        frontier = np.array(new, dtype=G.mul.dtype).reshape(len(new), width)
+        words = new_words
+        closure = np.concatenate([closure, frontier])
     elements = tuple(sorted(witnesses))
     return FunctionGroup(V, elements, witnesses)
 

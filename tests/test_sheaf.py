@@ -27,6 +27,7 @@ from groupspec.sheaf import (
     Scheme,
     SchemeMorphism,
     SchemeSection,
+    SectionGroup,
     SheafError,
     affine_scheme,
     check_sheaf_axioms,
@@ -180,6 +181,14 @@ def test_stalk_rejects_missing_points():
         empty.stalk(0)
 
 
+def test_glued_minimal_open_rejects_missing_points():
+    D = glue(_s5_scheme(), _s5_scheme(), frozenset({0}), frozenset({0}))
+    assert D.minimal_open(("L", 0)) <= frozenset(D.points)
+    for missing in [("L", 99), ("R", 0), 0]:
+        with pytest.raises(SheafError, match=re.escape(f"no point {missing!r}")):
+            D.minimal_open(missing)
+
+
 def test_sheaf_axioms_on_catalog_examples():
     for obj, variant in [
         (identity_object(S5, "S5"), "t2"),
@@ -188,6 +197,22 @@ def test_sheaf_axioms_on_catalog_examples():
     ]:
         report = check_sheaf_axioms(AffineScheme(spectrum(obj, variant)))
         assert report["minimal_covers"] > 0
+
+
+def test_sheaf_axioms_catch_wrong_section_groups():
+    """Z6 under t2 has opens {0}, {1} and the whole space, one pair cover."""
+    def scheme_with(U, rows_of):
+        X = AffineScheme(spectrum(identity_object(cyclic(6), "Z6"), "t2"))
+        assert check_sheaf_axioms(X) == {"pair_covers": 1, "minimal_covers": 3}
+        X._sections[U] = SectionGroup(X, U, rows_of(X.section_group(U).rows))
+        return X
+
+    missing = scheme_with(frozenset({0, 1}), lambda rows: rows[1:])
+    with pytest.raises(SheafError, match=re.escape("gluing axiom fails on [0, 1] = [0] | [1]")):
+        check_sheaf_axioms(missing)
+    doubled = scheme_with(frozenset({0}), lambda rows: rows.repeat(2, axis=0))
+    with pytest.raises(SheafError, match="identity axiom fails on the minimal-open cover"):
+        check_sheaf_axioms(doubled)
 
 
 def test_disjoint_components_product_sections():
