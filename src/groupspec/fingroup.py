@@ -604,13 +604,16 @@ def _row_index(rows: np.ndarray):
     return find
 
 
-def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]) -> np.ndarray:
+def pointwise_table(
+    factors: Sequence[GroupTable], rows: Sequence[Sequence[int]], find=None
+) -> np.ndarray:
     """Cayley table of distinct tuples under the pointwise product.
 
     Column c of ``rows`` multiplies in ``factors[c]``.  Each product row is
-    looked up among ``rows``, so a product that is not a row raises
-    GroupError: closure is checked exactly.  One left factor at a time, so
-    the extra memory is O(n*k), never an n*n*k array.
+    looked up among ``rows`` (by ``find``, a ``_row_index`` of ``rows`` the
+    caller already holds, else a new one), so a product that is not a row
+    raises GroupError: closure is checked exactly.  One left factor at a
+    time, so the extra memory is O(n*k), never an n*n*k array.
     """
     n, k = len(rows), len(factors)
     if k == 0:  # the one empty row
@@ -623,7 +626,7 @@ def pointwise_table(factors: Sequence[GroupTable], rows: Sequence[Sequence[int]]
     flat = np.concatenate([t.mul.ravel() for t in distinct.values()]).astype(np.int64)
     off = np.asarray([start[id(t)] for t in factors])
     left = off + R * np.asarray([t.order for t in factors])
-    find = _row_index(R)
+    find = find or _row_index(R)
     table = np.empty((n, n), dtype=_dtype_for(n))
     for i in range(n):
         table[i] = _found(find(flat[left[i] + R]))

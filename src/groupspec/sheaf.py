@@ -200,7 +200,7 @@ class SectionGroup:
                 )
             factors = [self.scheme.point_quotient(p).table for p in sorted(self.open_set)]
             try:
-                mul = pointwise_table(factors, self.rows)
+                mul = pointwise_table(factors, self.rows, self._find)
             except GroupError:
                 raise SheafError("product of sections is not a section") from None
             table = GroupTable(mul, name=f"O({len(self.open_set)}pts)", validate=False)

@@ -195,8 +195,8 @@ def test_tables_are_not_copied(monkeypatch):
     assert np.shares_memory(GroupTable(mul, validate=False).mul, mul)
     built = []
 
-    def keep(factors, rows):
-        built.append(fingroup.pointwise_table(factors, rows))
+    def keep(factors, rows, *find):
+        built.append(fingroup.pointwise_table(factors, rows, *find))
         return built[-1]
 
     monkeypatch.setattr(sheaf, "pointwise_table", keep)
