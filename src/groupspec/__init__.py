@@ -37,7 +37,7 @@ from .variety import (
     coordinate_group,
     maximality_probe,
     variety_of,
-    zariski_closed_sets,
+    zariski_space,
 )
 from .sheaf import (
     AffineScheme,

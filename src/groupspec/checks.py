@@ -44,7 +44,6 @@ from .spectrum import (
     Ideal,
     Spectrum,
     irreducible_components,
-    is_irreducible_closed,
     is_prime,
     quotient_object,
     radical,
@@ -58,7 +57,7 @@ from .variety import (
     hom_variety_correspondence,
     maximality_probe,
     variety_of,
-    zariski_closed_sets,
+    zariski_space,
 )
 
 __all__ = ["SUITES", "run_suite", "run_suites", "report_lines", "worst_status"]
@@ -172,7 +171,7 @@ def suite_prop2_3(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> I
         for cls in H.conjugacy_classes()
     ]
     bad = None
-    for U in spec.open_sets():
+    for U in spec.space.opens:
         union = frozenset()
         for b in basics:
             if b <= U:
@@ -209,7 +208,7 @@ def suite_prop2_5(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> I
         if not V or radical(spec, V) != I:
             continue  # hypothesis of the claim fails
         tested += 1
-        irr = is_irreducible_closed(spec, V)
+        irr = spec.space.is_irreducible(V)
         prime = is_prime(obj, Ideal(obj, I), variant, "elementwise")
         if irr != prime:
             bad = f"|I|={len(I)}: irreducible={irr} but prime={prime}"
@@ -224,10 +223,8 @@ def suite_prop2_6(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> I
             continue
         tested += 1
         for q in comp:
-            for U in spec.open_sets():
-                if q in U and generic not in U:
-                    bad = f"open without the generic point around prime #{q}"
-                    break
+            if generic not in spec.space.minimal_open(q):
+                bad = f"open without the generic point around prime #{q}"
     yield _unless(instance, bad, f"{tested} components with generic points")
 
 
@@ -240,7 +237,7 @@ def suite_cor2_2(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> It
     if idx is None:
         yield instance, "skip", "radical is not a member prime"
         return
-    dense = spec.closure({idx}) == frozenset(range(len(spec.primes)))
+    dense = spec.space.closure({idx}) == frozenset(range(len(spec.primes)))
     yield _verdict(instance, dense, "radical prime is dense" if dense else "radical prime is not dense")
 
 
@@ -471,15 +468,8 @@ def suite_prop3_5(cat: str) -> Iterator[Verdict]:
     g = groups()
     # irreducible varieties of the order-2 line under its full topology
     Z2 = g["Z2"]
-    closed = zariski_closed_sets(Z2, 1, "t2")
-    irr = [
-        C for C in closed
-        if C and not any(
-            A | B == C for A in closed for B in closed
-            if A != C and B != C and A <= C and B <= C
-        )
-    ]
-    for C in irr:
+    space = zariski_space(Z2, 1, "t2")
+    for C in filter(space.is_irreducible, space.closed_sets):
         V = VarietySet(Z2, 1, (), tuple(sorted(C)))
         O = coordinate_group(V).as_ggroup()
         ok = O.is_integral("t2")
@@ -516,7 +506,7 @@ def suite_thm4_1(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> It
 
 
 def suite_cor4_1(instance: str, obj: GGroup, variant: str, spec: Spectrum) -> Iterator[Verdict]:
-    if not spec.primes or not is_irreducible_closed(spec, frozenset(range(len(spec.primes)))):
+    if not spec.space.is_irreducible(range(len(spec.primes))):
         yield instance, "skip", "spectrum not irreducible"
     else:
         yield _verdict(instance, restrictions_are_isomorphisms(spec))

@@ -524,7 +524,7 @@ class Interpreter:
         u1 = frozenset(X1.points) if d["u1"] == "whole" else d["u1"]
         u2 = frozenset(X2.points) if d["u2"] == "whole" else d["u2"]
         D = glue(X1, X2, u1, u2)
-        self.emit(f"glued scheme: {len(D.points)} points, {len(D.opens())} opens")
+        self.emit(f"glued scheme: {len(D.points)} points, {len(D.space.opens)} opens")
         return D
 
     def _do_check(self, st: Statement) -> None:

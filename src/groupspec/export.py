@@ -40,15 +40,14 @@ def _prime_label(spec: Spectrum, i: int) -> str:
 
 
 def spectrum_to_dict(spec: Spectrum) -> dict:
-    closed = spec.closed_sets()
     comps = irreducible_components(spec)
     return {
         "carrier_order": spec.object.carrier.order,
         "variant": spec.variant,
         "prime_def": spec.prime_def,
         "primes": [list(P.members.members) for P in spec.primes],
-        "closed_sets": sorted(sorted(c) for c in closed),
-        "specialization": [list(e) for e in spec.specialization_edges()],
+        "closed_sets": sorted(sorted(c) for c in spec.space.closed_sets),
+        "specialization": [list(e) for e in spec.space.specialization_edges()],
         "radical": list(whole_radical(spec).members)
         if spec.primes
         else list(range(spec.object.carrier.order)),
@@ -80,7 +79,7 @@ def spectrum_to_dot(spec: Spectrum) -> bytes:
     lines = ["digraph specialization {"]
     for i in range(len(spec.primes)):
         lines.append(f'  p{i} [label="{_prime_label(spec, i)}"];')
-    for i, j in spec.specialization_edges():
+    for i, j in spec.space.specialization_edges():
         lines.append(f"  p{i} -> p{j};")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode()
@@ -102,7 +101,7 @@ def variety_to_dict(V, FG=None) -> dict:
 
 
 def scheme_to_dict(scheme) -> dict:
-    opens = scheme.opens()
+    opens = scheme.space.opens
     out = {
         "points": [repr(p) for p in scheme.points],
         "opens": sorted(sorted(repr(p) for p in U) for U in opens),

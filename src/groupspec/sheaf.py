@@ -30,8 +30,10 @@ from .fingroup import (
 )
 from .gobject import GGroup, GMorphism, enumerate_g_morphisms
 from .spectrum import (
+    FiniteSpace,
     Ideal,
     Spectrum,
+    _map_bits,
     irreducible_components,
     point_radical,
     spectrum,
@@ -88,16 +90,18 @@ def _positions(U: frozenset) -> dict:
 class Scheme(Protocol):
     """What a scheme offers: points, a finite topology and section groups.
 
-    ``AffineScheme`` and ``GluedScheme`` both satisfy it.
+    ``AffineScheme`` and ``GluedScheme`` both satisfy it.  The topology is
+    ``space``: an affine scheme's is its spectrum's (the V(N) family as
+    computed, never closed under unions), a glued scheme's is built from
+    its charts' spaces.
     """
 
     points: tuple
     base: GroupTable
     structure: Homomorphism  # base -> carrier
+    space: FiniteSpace
 
     def label(self) -> str: ...
-    def opens(self) -> list[frozenset]: ...
-    def is_open(self, U: Iterable) -> bool: ...
     def minimal_open(self, p) -> frozenset: ...
     def point_quotient(self, p) -> QuotientGroup: ...
     def section_group(self, U: Iterable) -> "SectionGroup": ...
@@ -105,15 +109,6 @@ class Scheme(Protocol):
     def element_rows(self, U: Iterable, hs: Sequence[int]) -> np.ndarray: ...
     def stalk(self, p) -> tuple["SectionGroup", dict]: ...
     def charts(self) -> list["AffineScheme"]: ...
-
-
-def _check_point(scheme, point) -> None:
-    if point not in scheme.points:
-        raise SheafError(f"no point {point!r}: {scheme.label()} has {len(scheme.points)} points")
-
-
-def _open_order(w: frozenset) -> tuple:
-    return (len(w), repr(sorted(w, key=repr)))
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
@@ -239,6 +234,7 @@ class AffineScheme:
         self.base = spec.object.base
         self.structure = spec.object.structure
         self.points: tuple = tuple(range(len(spec.primes)))
+        self.space = spec.space
         self._sections: dict[frozenset, SectionGroup] = {}
         self._quotients: dict[int, QuotientGroup] = {}
         self._images: dict[int, tuple[tuple, np.ndarray]] = {}
@@ -246,14 +242,10 @@ class AffineScheme:
     def label(self) -> str:
         return f"Spec_{self.spectrum.variant}({self.spectrum.object.label()})"
 
-    def opens(self) -> list[frozenset]:
-        return self.spectrum.open_sets()
-
-    def is_open(self, U: Iterable) -> bool:
-        return self.spectrum.is_open(U)
-
     def minimal_open(self, p) -> frozenset:
-        return self.spectrum.minimal_open(p)
+        if p not in self.points:
+            raise SheafError(f"no point {p!r}: {self.label()} has {len(self.points)} points")
+        return self.space.minimal_open(p)
 
     def point_quotient(self, p: int) -> QuotientGroup:
         if p not in self._quotients:
@@ -303,7 +295,7 @@ class AffineScheme:
     def section_group(self, U: Iterable) -> SectionGroup:
         U = frozenset(U)
         if U not in self._sections:
-            if not self.is_open(U):
+            if not self.space.is_open(U):
                 raise SheafError(f"{sorted(U, key=self._message_order)} is not open")
             self._sections[U] = SectionGroup(self, U, self._join(sorted(U)))
         return self._sections[U]
@@ -320,7 +312,6 @@ class AffineScheme:
 
     def stalk(self, p: int) -> tuple[SectionGroup, dict]:
         """Sections over the minimal open, compared with H/rad(point)."""
-        _check_point(self, p)
         mo = self.minimal_open(p)
         group = self.section_group(mo)
         rad = point_radical(self.spectrum, p)
@@ -352,8 +343,8 @@ class GluedScheme:
     """Two affine schemes glued by the identity along a common open U.
 
     Points are labeled ("L", p) for the first piece and ("R", q) for the
-    second; the points of U keep their "L" label.  A set is open iff both
-    its traces are open (the quotient topology).
+    second; the points of U keep their "L" label.  A set is closed iff both
+    its traces are closed (the quotient topology).
     """
 
     _message_order = repr
@@ -371,46 +362,24 @@ class GluedScheme:
     def label(self) -> str:
         return f"Glued({self.X1.label()},{self.X2.label()})"
 
-    # -- topology ----------------------------------------------------------
-
     @cached_property
-    def _opens(self) -> list[frozenset]:
-        """Each open glues its two traces: an open O1 of X1 and an open O2
-        of X2 with O1 & U == O2 & U.  So chart opens are paired by their
-        traces instead of testing every subset of points."""
+    def space(self) -> FiniteSpace:
+        """Each closed set glues a closed set of each chart, the two with the
+        same trace on U, so chart closed sets are paired by trace.  Points
+        are listed in message order."""
+        s1, s2 = self.X1.space, self.X2.space
+        points = sorted(self.points, key=self._message_order)
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        u = s1.mask(self.U)  # both charts have the same points
+        left = [bit[("L", p)] for p in s1.points]
+        right = [bit[("L" if q in self.U else "R", q)] for q in s2.points]
         by_trace: dict = {}
-        for O2 in self.X2.opens():
-            by_trace.setdefault(O2 & self.U, []).append(O2)
-        out = []
-        for O1 in self.X1.opens():
-            left = [("L", p) for p in O1]
-            for O2 in by_trace.get(O1 & self.U, ()):
-                out.append(frozenset(left + [("R", q) for q in O2 - self.U]))
-        return sorted(out, key=_open_order)
+        for c in s2.closed_masks:
+            by_trace.setdefault(c & u, []).append(_map_bits(c, right))
+        closed = [_map_bits(c, left) | r for c in s1.closed_masks for r in by_trace.get(c & u, ())]
+        return FiniteSpace(points, closed)
 
-    @cached_property
-    def _open_set(self) -> frozenset:
-        return frozenset(self._opens)
-
-    def opens(self) -> list[frozenset]:
-        return self._opens
-
-    def is_open(self, W: Iterable) -> bool:
-        return frozenset(W) in self._open_set
-
-    @cached_property
-    def _minimal_opens(self) -> dict:
-        """Each point's minimal open: the meet of the opens around it."""
-        out = dict.fromkeys(self.points, frozenset(self.points))
-        for W in self._opens:
-            for point in W:
-                out[point] &= W
-        return out
-
-    def minimal_open(self, point) -> frozenset:
-        if point not in self._minimal_opens:
-            _check_point(self, point)
-        return self._minimal_opens[point]
+    minimal_open = AffineScheme.minimal_open
 
     # -- sections ----------------------------------------------------------
 
@@ -436,9 +405,8 @@ class GluedScheme:
     restrict = AffineScheme.restrict
 
     def stalk(self, point) -> tuple[SectionGroup, dict]:
-        _check_point(self, point)
-        side, p = point
         mo = self.minimal_open(point)
+        side, p = point
         group = self.section_group(mo)
         inner, report = (self.X1 if side == "L" else self.X2).stalk(p)
         return group, {"chart_stalk_order": len(inner), **report}
@@ -458,7 +426,7 @@ def glue(X1, X2, U1: Iterable, U2: Iterable) -> GluedScheme:
     The same base and structure map make the constant sections agree.
     """
     U1, U2 = frozenset(U1), frozenset(U2)
-    if not X1.is_open(U1) or not X2.is_open(U2):
+    if not X1.space.is_open(U1) or not X2.space.is_open(U2):
         raise SheafError("gluing opens must be open")
     if not (isinstance(X1, AffineScheme) and isinstance(X2, AffineScheme)):
         raise SheafError("identity gluing needs two affine schemes")
@@ -519,11 +487,9 @@ class SchemeMorphism:
         then pulling back selects the same columns as pulling back then
         restricting, whatever ``maps`` holds.
         """
-        opens = self.target.opens()
-        for U in opens:
-            if not self.source.is_open(self.preimage(U)):
-                raise SheafError("geometric map is not continuous")
-        for U in opens:
+        if not self.source.space.is_continuous(self.point_map, self.target.space):
+            raise SheafError("geometric map is not continuous")
+        for U in self.target.space.opens:
             GW = self.source.section_group(self.preimage(U))
             GW._indices(self._pull(self.target.section_group(U).rows, U))
         # a section has the identity value at f(p) iff its pullback has it at p
@@ -595,15 +561,11 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
         raise SheafError("embedding image differs from V(I)")
     if len(set(m.point_map.values())) != len(m.point_map):
         raise SheafError("embedding is not injective on points")
-    # homeomorphism onto the image: closed sets correspond
-    src_closed = {
-        frozenset(m.point_map[p] for p in (frozenset(m.source.points) - U))
-        for U in m.source.opens()
-    }
-    tgt_closed = {
-        (frozenset(m.target.points) - U) & image for U in m.target.opens()
-    }
-    if src_closed != tgt_closed:
+    # homeomorphism onto the image: the source's closed sets are the traces
+    # of the target's on the image, point for point
+    src = m.source.space
+    onto = m.target.space.subspace([m.point_map[p] for p in src.points])
+    if onto.closed_masks != src.closed_masks:
         raise SheafError("embedding is not a homeomorphism onto V(I)")
     iso = I.members == whole_radical(specH)
     if iso:
@@ -623,13 +585,11 @@ def embed_quotient(obj: GGroup, I: Ideal, variant: str, prime_def: str = "elemen
 def check_sheaf_axioms(scheme) -> dict:
     """Identity and gluing on pair covers and minimal-open covers of each open.
 
-    Opens are point bitmasks here, so the pair covers of U are the pairs of
-    its proper sub-opens whose masks join to U's.  Gluing holds on a cover
-    iff the join of its two section groups, sorted, is G(U)'s rows.
+    The space lists each open's bitmask, so the pair covers of U are the
+    pairs of its proper sub-opens whose masks join to U's.  Gluing holds on
+    a cover iff the join of its two section groups, sorted, is G(U)'s rows.
     """
-    opens = scheme.opens()
-    bit = {p: 1 << i for i, p in enumerate(scheme.points)}
-    masks = [sum(bit[p] for p in V) for V in opens]
+    opens, masks = scheme.space.opens, scheme.space.open_masks
     checked_pairs = 0
     checked_minimal = 0
     for U, u in zip(opens, masks):
@@ -692,12 +652,9 @@ def global_sections_vs_quotient(spec: Spectrum) -> dict:
 def restrictions_are_isomorphisms(spec: Spectrum) -> bool:
     """For irreducible spectra, restrictions between nonempty opens are bijective."""
     X = affine_scheme(spec)
-    whole = frozenset(X.points)
-    from .spectrum import is_irreducible_closed
-
-    if not is_irreducible_closed(spec, whole):
+    if not spec.space.is_irreducible(X.points):
         raise SheafError("the spectrum is not irreducible")
-    opens = [U for U in X.opens() if U]
+    opens = [U for U in spec.space.opens if U]
     for U in opens:
         GU = X.section_group(U)
         for V in opens:
@@ -733,7 +690,7 @@ def noetherian_sections(spec: Spectrum) -> dict:
     if None in generics:
         raise SheafError("a component has no generic member prime")
     quots = [quotient(H, spec.primes[g].members) for g in generics]
-    closures = [spec.closure({g}) for g in generics]
+    closures = [spec.space.closure({g}) for g in generics]
     pair_quots = {}
     for j, k in itertools.combinations(range(len(generics)), 2):
         if closures[j] & closures[k]:
@@ -774,11 +731,10 @@ def scheme_hom_correspondence(X, Hobj: GGroup, variant: str, prime_def: str = "e
     Requires every chart of X to be an irreducible spectrum and the global
     sections of Spec(H) to coincide with H/rad.
     """
-    from .spectrum import is_irreducible_closed, quotient_object
+    from .spectrum import quotient_object
 
     for chart in X.charts():
-        cs = chart.spectrum
-        if not is_irreducible_closed(cs, frozenset(range(len(cs.primes)))):
+        if not chart.space.is_irreducible(chart.points):
             raise SheafError("a chart is not irreducible")
     specH = spectrum(Hobj, variant, prime_def)
     Y = affine_scheme(specH)

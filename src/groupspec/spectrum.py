@@ -5,13 +5,21 @@ divisors of zero) and the elementwise test (the containment implication on
 pairs).  They agree for the commutator variant and provably diverge for the
 intersection variant, so the choice is an explicit parameter everywhere.
 Both are decided by ``GGroup.primes``, for all ideals of an object at once.
+
+Every finite topology of the package is a ``FiniteSpace``: a spectrum's
+(``Spectrum.space``), a glued scheme's and a variety's.  A spectrum's
+closed sets are the vanishing sets V(N), N normal in the carrier, exactly
+as computed.  The family is never closed under unions, so where it is not
+a topology (``FiniteSpace.topology_defect``) that stays visible.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cached_property, reduce
+from operator import and_, or_
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from .fingroup import GroupError, QuotientGroup, Subgroup, quotient
 from .gobject import PRIME_DEFS, VARIANTS, GGroup
 
 __all__ = [
+    "FiniteSpace",
     "Ideal",
     "Spectrum",
     "VARIANTS",
@@ -30,6 +39,128 @@ __all__ = [
     "radical",
     "irreducible_components",
 ]
+
+
+def _indices(m: int) -> list[int]:
+    """The set bits of a mask, low to high."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _listing_key(m: int) -> tuple:
+    """Sets are listed by size, then by their points' positions."""
+    return m.bit_count(), _indices(m)
+
+
+def _map_bits(m: int, bits: Sequence[int]) -> int:
+    """The OR of bits[i] over the set bits i of m."""
+    return reduce(or_, (bits[i] for i in _indices(m)), 0)
+
+
+class FiniteSpace:
+    """A finite topological space, given by its family of closed sets.
+
+    Each closed set is an int bitmask, bit i for ``points[i]``.  The family
+    is held exactly as its owner computed it and never closed under unions
+    (``topology_defect`` names a missing union).  Opens, minimal opens,
+    closures, the specialization order, irreducibility, subspaces and
+    continuity all derive from it.  Sets are listed by size, then by the
+    positions of their points in ``points``.
+    """
+
+    def __init__(self, points: Iterable, closed: Iterable[int]):
+        self.points = tuple(points)
+        self._at = {p: i for i, p in enumerate(self.points)}
+        self._whole = (1 << len(self.points)) - 1
+        self.closed_masks = tuple(sorted(set(closed), key=_listing_key))
+
+    def _index(self, p) -> int:
+        if p not in self._at:
+            raise GroupError(f"no point {p!r} in a space of {len(self.points)} points")
+        return self._at[p]
+
+    def mask(self, S: Iterable) -> int:
+        """The bitmask of a set of points; a non-point raises GroupError."""
+        return reduce(or_, (1 << self._index(p) for p in S), 0)
+
+    def _set(self, m: int) -> frozenset:
+        return frozenset(self.points[i] for i in _indices(m))
+
+    @cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        return tuple(sorted({self._whole ^ c for c in self.closed_masks}, key=_listing_key))
+
+    @cached_property
+    def closed_sets(self) -> list[frozenset]:
+        return [self._set(m) for m in self.closed_masks]
+
+    @cached_property
+    def opens(self) -> list[frozenset]:
+        return [self._set(m) for m in self.open_masks]
+
+    def is_open(self, U: Iterable) -> bool:
+        """Whether U's complement is closed; a set holding a non-point is not open."""
+        U = frozenset(U)
+        return U <= self._at.keys() and self._whole ^ self.mask(U) in self.closed_masks
+
+    def _meet(self, family: tuple, m: int) -> int:
+        """The AND of the sets of the family that contain the mask m."""
+        return reduce(and_, (s for s in family if s & m == m), self._whole)
+
+    @cached_property
+    def _minimal(self) -> list[frozenset]:
+        return [self._set(self._meet(self.open_masks, 1 << i)) for i in range(len(self.points))]
+
+    def minimal_open(self, p) -> frozenset:
+        """The AND of the opens that contain p."""
+        return self._minimal[self._index(p)]
+
+    def closure(self, S: Iterable) -> frozenset:
+        """The AND of the closed sets that contain S."""
+        return self._set(self._meet(self.closed_masks, self.mask(S)))
+
+    def specialization_edges(self) -> list[tuple]:
+        """Pairs (p, q), p != q, with q in the closure of p (p generizes q)."""
+        return [
+            (p, self.points[j])
+            for i, p in enumerate(self.points)
+            for j in _indices(self._meet(self.closed_masks, 1 << i))
+            if j != i
+        ]
+
+    def is_irreducible(self, C: Iterable) -> bool:
+        """Nonempty and not the union of two proper closed subsets (the
+        traces of the closed sets on C)."""
+        m = self.mask(C)
+        proper = {c & m for c in self.closed_masks} - {m}
+        return m != 0 and not any(a | b == m for a in proper for b in proper)
+
+    def irreducible_components(self) -> list[frozenset]:
+        """The maximal irreducible closed sets, in listing order."""
+        irr = [c for c in self.closed_sets if self.is_irreducible(c)]
+        return [c for c in irr if not any(c < d for d in irr)]
+
+    def subspace(self, pts: Iterable) -> "FiniteSpace":
+        """The points pts, in that order, with the traces of the closed sets."""
+        pts = tuple(pts)
+        bits = [0] * len(self.points)
+        for k, p in enumerate(pts):
+            bits[self._index(p)] = 1 << k
+        return FiniteSpace(pts, [_map_bits(c, bits) for c in self.closed_masks])
+
+    def is_continuous(self, point_map: dict, target: "FiniteSpace") -> bool:
+        """Whether the map, sending each point of this space to a point of
+        target, pulls every closed set of target back to a closed set."""
+        pre = [0] * len(target.points)
+        for p, q in point_map.items():
+            pre[target._index(q)] |= 1 << self._index(p)
+        return all(_map_bits(c, pre) in self.closed_masks for c in target.closed_masks)
+
+    def topology_defect(self) -> Optional[tuple[frozenset, frozenset]]:
+        """The first pair of closed sets whose union is not closed, or None."""
+        for a, b in itertools.combinations(self.closed_masks, 2):
+            if a | b not in self.closed_masks:
+                return self._set(a), self._set(b)
+        return None
 
 
 @dataclass(frozen=True)
@@ -67,7 +198,7 @@ def is_prime(obj: GGroup, I: Ideal, variant: str, prime_def: str) -> bool:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The ordered set of prime ideals with its closed-set topology."""
+    """The ordered set of prime ideals; ``space`` is its topology."""
 
     object: GGroup
     variant: str
@@ -92,55 +223,10 @@ class Spectrum:
         holds = H._normal_containment(masks)
         return [frozenset(np.flatnonzero(row).tolist()) for row in holds]
 
-    def closed_sets(self) -> list[frozenset]:
-        """All distinct vanishing sets V(N), N normal in the carrier, small
-        to large."""
-        if "closed" not in self._caches:
-            closed = set(self._vanishing)
-            self._caches["closed"] = sorted(closed, key=lambda c: (len(c), sorted(c)))
-        return self._caches["closed"]
-
-    def open_sets(self) -> list[frozenset]:
-        """Complements of the closed sets, small to large."""
-        if "open" not in self._caches:
-            allp = frozenset(range(len(self.primes)))
-            opens = {allp - c for c in self.closed_sets()}
-            self._caches["open"] = sorted(opens, key=lambda u: (len(u), sorted(u)))
-        return self._caches["open"]
-
-    def is_open(self, U: Iterable[int]) -> bool:
-        if "open_set" not in self._caches:
-            self._caches["open_set"] = frozenset(self.open_sets())
-        return frozenset(U) in self._caches["open_set"]
-
-    def minimal_open(self, p: int) -> frozenset:
-        """Intersection of all opens containing prime #p (finite space)."""
-        cache = self._caches.setdefault("minopen", {})
-        if p not in cache:
-            acc = frozenset(range(len(self.primes)))
-            for U in self.open_sets():
-                if p in U:
-                    acc &= U
-            cache[p] = acc
-        return cache[p]
-
-    def closure(self, S: Iterable[int]) -> frozenset:
-        """Topological closure of a set of primes."""
-        S = frozenset(S)
-        acc = frozenset(range(len(self.primes)))
-        for c in self.closed_sets():
-            if S <= c:
-                acc &= c
-        return acc
-
-    def specialization_edges(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with prime_i contained in prime_j (i generizes j)."""
-        return [
-            (i, j)
-            for i, P in enumerate(self.primes)
-            for j, Q in enumerate(self.primes)
-            if i != j and P.members.issubset(Q.members)
-        ]
+    @cached_property
+    def space(self) -> FiniteSpace:
+        """The primes with the V(N) family as computed, never repaired."""
+        return FiniteSpace(range(len(self.primes)), [sum(1 << i for i in c) for c in self._vanishing])
 
 
 def spectrum(obj: GGroup, variant: str, prime_def: str = "elementwise") -> Spectrum:
@@ -177,20 +263,11 @@ def radical(spec: Spectrum, S: Iterable[int]) -> Subgroup:
 
 def point_radical(spec: Spectrum, p: int) -> Subgroup:
     """Radical of a point, via its minimal open neighbourhood."""
-    return radical(spec, spec.minimal_open(p))
+    return radical(spec, spec.space.minimal_open(p))
 
 
 def whole_radical(spec: Spectrum) -> Subgroup:
     return radical(spec, range(len(spec.primes)))
-
-
-def is_irreducible_closed(spec: Spectrum, C: frozenset) -> bool:
-    """Nonempty and not a union of two proper closed subsets."""
-    if not C:
-        return False
-    closed = [c & C for c in spec.closed_sets()]
-    proper = {c for c in closed if c != C}
-    return not any(A | B == C for A in proper for B in proper)
 
 
 def irreducible_components(spec: Spectrum) -> list[tuple[frozenset, Optional[int]]]:
@@ -199,10 +276,8 @@ def irreducible_components(spec: Spectrum) -> list[tuple[frozenset, Optional[int
     The generic point is reported when the radical of the component is
     itself a member prime.
     """
-    irr = [c for c in spec.closed_sets() if is_irreducible_closed(spec, c)]
-    comps = [c for c in irr if not any(c < d for d in irr)]
     out = []
-    for c in comps:
+    for c in spec.space.irreducible_components():
         rad = radical(spec, c)
         out.append((c, next((i for i in sorted(c) if spec.primes[i].members == rad), None)))
     out.sort(key=lambda t: sorted(t[0]))

@@ -25,6 +25,7 @@ from .fingroup import (
 )
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
 from .gobject import GGroup, enumerate_g_morphisms, identity_object
+from .spectrum import FiniteSpace
 
 __all__ = [
     "VarietySet",
@@ -34,7 +35,7 @@ __all__ = [
     "coordinate_group",
     "maximality_probe",
     "hom_variety_correspondence",
-    "zariski_closed_sets",
+    "zariski_space",
 ]
 
 DEFAULT_PROBE_LEN = 3
@@ -289,10 +290,11 @@ def _conjugate_product_path(G: GroupTable, v: int, goal: int):
 # -- topology and Hom correspondence ---------------------------------------
 
 
-def zariski_closed_sets(
+def zariski_space(
     G: GroupTable, n: int, variant: str, probe_len: int = DEFAULT_PROBE_LEN
-) -> list[frozenset]:
-    """Bounded extensional model of the Zariski topology on G^n.
+) -> FiniteSpace:
+    """Bounded extensional model of the Zariski topology on G^n, points in
+    lexicographic order.
 
     Generated from single-word zero sets of all reduced words up to the
     probe length, closed under intersection and union.  Only defined when G
@@ -303,39 +305,17 @@ def zariski_closed_sets(
         raise VarietyError(f"G is not {variant}-integral; no Zariski topology")
     ctx = WordContext(G, n)
     struct = _id_structure(G)
-    space = frozenset(itertools.product(range(G.order), repeat=n))
-    sets = {space, frozenset()}
+    points = tuple(itertools.product(range(G.order), repeat=n))
+    sets = {0, (1 << len(points)) - 1}
     for w in enumerate_words(ctx, probe_len):
-        z = frozenset(
-            p for p in space if evaluate(w, struct, p) == G.id
-        )
-        sets.add(z)
+        sets.add(sum(1 << i for i, p in enumerate(points) if evaluate(w, struct, p) == G.id))
     # lattice closure
     while True:
-        new = set()
-        lst = list(sets)
-        for i, a in enumerate(lst):
-            for b in lst[i + 1:]:
-                for c in (a & b, a | b):
-                    if c not in sets:
-                        new.add(c)
+        new = {c for a, b in itertools.combinations(sets, 2) for c in (a & b, a | b)} - sets
         if not new:
             break
         sets |= new
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
-
-
-def _induced_closed(closed: list[frozenset], pts: Iterable[tuple]) -> set[frozenset]:
-    pts = frozenset(pts)
-    return {c & pts for c in closed}
-
-
-def _is_continuous(phi: dict, closed_src: set[frozenset], closed_dst: set[frozenset]) -> bool:
-    for c in closed_dst:
-        pre = frozenset(p for p, q in phi.items() if q in c)
-        if pre not in closed_src:
-            return False
-    return True
+    return FiniteSpace(points, sets)
 
 
 @dataclass(frozen=True)
@@ -362,15 +342,12 @@ def hom_variety_correspondence(
     if Vp.group is not G:
         raise VarietyError("varieties over different groups")
 
-    def induced(W: VarietySet) -> set[frozenset]:
+    def space(W: VarietySet) -> FiniteSpace:
         if W.nvars == 0:
-            return {frozenset(), frozenset(W.points)}
-        return _induced_closed(
-            zariski_closed_sets(G, W.nvars, variant, probe_len), W.points
-        )
+            return FiniteSpace(W.points, [0, (1 << len(W.points)) - 1])
+        return zariski_space(G, W.nvars, variant, probe_len).subspace(W.points)
 
-    closed_V = induced(V)
-    closed_Vp = induced(Vp)
+    space_V, space_Vp = space(V), space(Vp)
 
     FG = coordinate_group(V)
     FGp = coordinate_group(Vp)
@@ -381,7 +358,7 @@ def hom_variety_correspondence(
     var_morphisms = []
     for images in itertools.product(Vp.points, repeat=len(V.points)):
         phi = dict(zip(V.points, images))
-        if not _is_continuous(phi, closed_V, closed_Vp):
+        if not space_V.is_continuous(phi, space_Vp):
             continue
         ok = True
         for f in FGp.elements:

@@ -14,8 +14,9 @@ import itertools
 import numpy as np
 
 from groupspec import freeprod as fp
-from groupspec.fingroup import GroupError, GroupTable, Homomorphism, Subgroup
+from groupspec.fingroup import GroupError, GroupTable, Homomorphism, Subgroup, normal_subgroups
 from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
+from groupspec.spectrum import radical, vanishing_set
 from groupspec.variety import CLOSURE_CAP, FunctionGroup, VarietyError
 
 
@@ -343,7 +344,7 @@ def naive_section_group(scheme, U) -> list[tuple]:
     H = scheme.spectrum.object.carrier
     primes = [P.members.members for P in scheme.spectrum.primes]
     cosets = {p: naive_cosets(H, primes[p]) for p in U}
-    opens = scheme.opens()
+    opens = scheme.space.opens
     minopen = {p: frozenset.intersection(*[V for V in opens if p in V]) for p in U}
     pts = sorted(U)
     out = []
@@ -622,9 +623,9 @@ def naive_morphism_check(source, target, point_map: dict, push) -> None:
     def pre(U):
         return frozenset(p for p, q in point_map.items() if q in U)
 
-    opens = target.opens()
+    opens = target.space.opens
     for U in opens:
-        if not source.is_open(pre(U)):
+        if not source.space.is_open(pre(U)):
             raise SheafError("geometric map is not continuous")
     for U in opens:
         GU = target.section_group(U)
@@ -824,3 +825,101 @@ def per_normal_divisor_pairs(obj, N, variant: str, prime_def: str) -> np.ndarray
             rest[:, coset[H.id]] = False
         held = ~(rest @ rest.T)[np.ix_(span_of, span_of)]
     return held & outside[:, None] & outside[None, :]
+
+
+# -- finite topologies: the bodies that FiniteSpace replaced ----------------
+
+
+def naive_closed_sets(spec) -> list[frozenset]:
+    """All distinct vanishing sets V(N), N normal in the carrier, small to
+    large (the old ``Spectrum.closed_sets``)."""
+    closed = {vanishing_set(spec, N) for N in normal_subgroups(spec.object.carrier)}
+    return sorted(closed, key=lambda c: (len(c), sorted(c)))
+
+
+def naive_open_sets(spec) -> list[frozenset]:
+    """Complements of the closed sets, small to large."""
+    allp = frozenset(range(len(spec.primes)))
+    opens = {allp - c for c in naive_closed_sets(spec)}
+    return sorted(opens, key=lambda u: (len(u), sorted(u)))
+
+
+def naive_is_open(spec, U) -> bool:
+    return frozenset(U) in frozenset(naive_open_sets(spec))
+
+
+def naive_minimal_open(spec, p: int) -> frozenset:
+    """Intersection of all opens containing prime #p."""
+    acc = frozenset(range(len(spec.primes)))
+    for U in naive_open_sets(spec):
+        if p in U:
+            acc &= U
+    return acc
+
+
+def naive_closure(closed: list, points, S) -> frozenset:
+    """Intersection of the closed sets containing S."""
+    S = frozenset(S)
+    acc = frozenset(points)
+    for c in closed:
+        if S <= c:
+            acc &= c
+    return acc
+
+
+def naive_specialization_edges(spec) -> list[tuple[int, int]]:
+    """Pairs (i, j) with prime_i contained in prime_j (i generizes j)."""
+    return [
+        (i, j)
+        for i, P in enumerate(spec.primes)
+        for j, Q in enumerate(spec.primes)
+        if i != j and P.members.issubset(Q.members)
+    ]
+
+
+def naive_is_irreducible_closed(closed: list, C: frozenset) -> bool:
+    """Nonempty and not a union of two proper closed subsets."""
+    if not C:
+        return False
+    traces = [c & C for c in closed]
+    proper = {c for c in traces if c != C}
+    return not any(A | B == C for A in proper for B in proper)
+
+
+def naive_irreducible_closed(closed: list) -> list[frozenset]:
+    """The maximal irreducible closed sets, in the order of closed."""
+    irr = [c for c in closed if naive_is_irreducible_closed(closed, c)]
+    return [c for c in irr if not any(c < d for d in irr)]
+
+
+def naive_irreducible_components(spec) -> list[tuple[frozenset, object]]:
+    """Maximal irreducible closed sets with their generic primes, if any."""
+    out = []
+    for c in naive_irreducible_closed(naive_closed_sets(spec)):
+        rad = radical(spec, c)
+        out.append((c, next((i for i in sorted(c) if spec.primes[i].members == rad), None)))
+    out.sort(key=lambda t: sorted(t[0]))
+    return out
+
+
+def naive_glued_opens(D) -> list[frozenset]:
+    """Each open glues an open O1 of X1 and an open O2 of X2 with the same
+    trace on U, listed by size and then repr order."""
+    by_trace: dict = {}
+    for O2 in naive_open_sets(D.X2.spectrum):
+        by_trace.setdefault(O2 & D.U, []).append(O2)
+    out = []
+    for O1 in naive_open_sets(D.X1.spectrum):
+        left = [("L", p) for p in O1]
+        for O2 in by_trace.get(O1 & D.U, ()):
+            out.append(frozenset(left + [("R", q) for q in O2 - D.U]))
+    return sorted(out, key=lambda w: (len(w), repr(sorted(w, key=repr))))
+
+
+def naive_glued_minimal_opens(D) -> dict:
+    """Each point's minimal open: the meet of the opens around it."""
+    out = dict.fromkeys(D.points, frozenset(D.points))
+    for W in naive_glued_opens(D):
+        for point in W:
+            out[point] &= W
+    return out

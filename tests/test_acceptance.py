@@ -68,10 +68,10 @@ def test_criterion_2_spectra_against_brute_force():
                 assert got == expected, (name, variant)
         s5 = spectrum(identity_object(g["S5"], "S5"), "t2")
         assert [len(P.members) for P in s5.primes] == [1, 60]
-        assert s5.specialization_edges() == [(0, 1)]
+        assert s5.space.specialization_edges() == [(0, 1)]
         prod = spectrum(identity_object(g["A5xA5"], "A5xA5"), "t1")
         assert sorted(len(P.members) for P in prod.primes) == [60, 60]
-        assert prod.specialization_edges() == []
+        assert prod.space.specialization_edges() == []
 
 
 def test_criterion_3_bounded_no_divisor_audit():

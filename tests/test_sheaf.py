@@ -42,10 +42,14 @@ from groupspec.sheaf import (
 )
 
 from oracles import (
+    naive_closure,
+    naive_glued_minimal_opens,
+    naive_glued_opens,
     naive_induced_point_map,
     naive_induced_push,
     naive_morphism_check,
     naive_pullback,
+    naive_irreducible_closed,
     naive_section_group,
 )
 
@@ -79,7 +83,7 @@ def _pairs(s):
 def test_section_groups_match_naive_oracle(variant, prime_def):
     for name, obj in small_catalog():
         X = AffineScheme(spectrum(obj, variant, prime_def))
-        for U in X.opens():
+        for U in X.space.opens:
             G, want = X.section_group(U), naive_section_group(X, U)
             assert [_pairs(s) for s in G.elements] == [v for v, _ in want], (name, sorted(U))
 
@@ -87,12 +91,12 @@ def test_section_groups_match_naive_oracle(variant, prime_def):
 def test_glued_section_groups_match_naive_oracle():
     for D in _glued_examples():
         assert isinstance(D, Scheme) and isinstance(D.X1, Scheme)
-        want = {W: [v for v, _ in naive_section_group(D, W)] for W in D.opens()}
-        for W in D.opens():
+        want = {W: [v for v, _ in naive_section_group(D, W)] for W in D.space.opens}
+        for W in D.space.opens:
             G = D.section_group(W)
             assert [_pairs(s) for s in G.elements] == want[W], sorted(W, key=repr)
             # restriction selects the oracle's columns and lands on its rows
-            for V in D.opens():
+            for V in D.space.opens:
                 if not V <= W:
                     continue
                 down = [tuple(kv for kv in row if kv[0] in V) for row in want[W]]
@@ -103,7 +107,7 @@ def test_glued_section_groups_match_naive_oracle():
 
 def test_glued_opens_match_subset_enumeration():
     for D in _glued_examples():
-        opens1, opens2 = set(D.X1.opens()), set(D.X2.opens())
+        opens1, opens2 = set(D.X1.space.opens), set(D.X2.space.opens)
         pm = {p: p for p in D.U}
         brute = []
         for r in range(len(D.points) + 1):
@@ -114,9 +118,9 @@ def test_glued_opens_match_subset_enumeration():
                 }
                 if left in opens1 and right in opens2:
                     brute.append(frozenset(W))
-                assert D.is_open(W) == (left in opens1 and right in opens2)
+                assert D.space.is_open(W) == (left in opens1 and right in opens2)
         brute.sort(key=lambda w: (len(w), repr(sorted(w, key=repr))))
-        assert D.opens() == brute
+        assert D.space.opens == brute
         for pt in D.points:
             assert D.minimal_open(pt) == frozenset.intersection(*[W for W in brute if pt in W])
 
@@ -154,8 +158,8 @@ def _glued_sweep():
             for prime_def in ("elementwise", "quotient"):
                 X = AffineScheme(spectrum(obj, variant, prime_def))
                 along = {frozenset(), frozenset(X.points)} | {X.minimal_open(p) for p in X.points}
-                if not all(X.is_open(U) for U in along):
-                    along = set(X.opens())
+                if not all(X.space.is_open(U) for U in along):
+                    along = set(X.space.opens)
                 for U in sorted(along, key=sorted):
                     yield f"{name},{variant},{prime_def},{sorted(U)}", glue(X, X, U, U)
     s5 = identity_object(S5, "S5")
@@ -165,11 +169,33 @@ def _glued_sweep():
 
 def test_glued_sweep_matches_naive_oracle():
     for name, D in _glued_sweep():
-        for W in D.opens():
+        for W in D.space.opens:
             G, want = D.section_group(W), naive_section_group(D, W)
             assert [_pairs(s) for s in G.elements] == [v for v, _ in want], (name, sorted(W))
-        assert check_sheaf_axioms(D)["minimal_covers"] == len(D.opens()) - 1, name
+        assert check_sheaf_axioms(D)["minimal_covers"] == len(D.space.opens) - 1, name
         assert D.section_group(frozenset(D.points)).as_ggroup().carrier.order > 0, name
+
+
+def test_glued_spaces_match_the_old_topology_bodies():
+    """A glued space lists the opens and minimal opens that the old
+    trace-pairing of chart opens gave, in repr order; its closures,
+    specialization edges and components are those of that family."""
+    for name, D in [*enumerate(_glued_examples()), *_glued_sweep()]:
+        space, opens = D.space, naive_glued_opens(D)
+        pts = sorted(D.points, key=repr)
+        assert space.points == tuple(pts), name
+        assert space.opens == opens, name
+        closed = [frozenset(pts) - W for W in opens]
+        closed.sort(key=lambda c: (len(c), repr(sorted(c, key=repr))))
+        assert space.closed_sets == closed, name
+        minimal = naive_glued_minimal_opens(D)
+        closures = {p: naive_closure(closed, pts, {p}) for p in pts}
+        for p in pts:
+            assert D.minimal_open(p) == space.minimal_open(p) == minimal[p], (name, p)
+            assert space.closure({p}) == closures[p], (name, p)
+        edges = [(p, q) for p in pts for q in pts if p != q and q in closures[p]]
+        assert space.specialization_edges() == edges, name
+        assert space.irreducible_components() == naive_irreducible_closed(closed), name
 
 
 def test_stalk_rejects_missing_points():
@@ -371,7 +397,7 @@ def test_glue_rejects_each_bad_input():
 
 def _assert_pullbacks_match(m, push):
     """m.pullback(s) has the oracle's row for every section over every open."""
-    for U in m.target.opens():
+    for U in m.target.space.opens:
         for s in m.target.section_group(U).elements:
             assert m.pullback(s).values == naive_pullback(m.target, m.point_map, push, s), sorted(U)
 
@@ -478,7 +504,7 @@ def test_restriction_squares_commute_for_any_coset_maps(data):
         for p, q in m.point_map.items()
     }
     f = SchemeMorphism(m.source, m.target, m.point_map, maps)
-    opens = m.target.opens()
+    opens = m.target.space.opens
     for U in opens:
         rows = m.target.section_group(U).rows
         pulled = f._pull(rows, U)
@@ -567,7 +593,7 @@ def test_element_rows_match_section_from_element():
     schemes = [AffineScheme(spectrum(obj, "t2")) for _, obj in small_catalog()]
     for X in schemes + _glued_examples():
         hs = list(range(X.structure.target.order))
-        for U in X.opens():
+        for U in X.space.opens:
             rows = X.element_rows(U, hs)
             assert rows.shape == (len(hs), len(U))
             assert [tuple(r) for r in rows.tolist()] == [X.section_from_element(U, h).values for h in hs]

@@ -26,9 +26,16 @@ from groupspec.spectrum import (
 
 from oracles import (
     SpanOracle,
+    naive_closed_sets,
+    naive_closure,
+    naive_irreducible_components,
+    naive_is_open,
     naive_is_prime,
+    naive_minimal_open,
     naive_object_witness,
+    naive_open_sets,
     naive_quotient_prime,
+    naive_specialization_edges,
     naive_spectrum,
 )
 
@@ -61,7 +68,7 @@ def test_frozen_spectra_values():
     assert _prime_sets(spectrum(identity_object(A5), "t1")) == [frozenset({0})]
     s = spectrum(identity_object(S5), "t2")
     assert [len(P.members) for P in s.primes] == [1, 60]
-    assert s.specialization_edges() == [(0, 1)]
+    assert s.space.specialization_edges() == [(0, 1)]
 
 
 def test_spectrum_small_catalog_oracle():
@@ -95,7 +102,7 @@ def test_ideal_rejects_whole_and_non_normal():
 
 def test_closed_sets_form_topology():
     s = spectrum(identity_object(S5), "t2")
-    closed = s.closed_sets()
+    closed = s.space.closed_sets
     allp = frozenset(range(len(s.primes)))
     assert frozenset() in closed and allp in closed
     for a in closed:
@@ -115,7 +122,7 @@ def test_vanishing_set_antitone():
 
 def test_radical_galois_connection():
     s = spectrum(identity_object(S5), "t2")
-    for c in s.closed_sets():
+    for c in s.space.closed_sets:
         r = radical(s, c)
         assert vanishing_set(s, r) == c
     # empty set of primes has the whole carrier as radical
@@ -138,9 +145,52 @@ def test_irreducible_components_disjoint_case():
 def test_minimal_open_and_specialization():
     s = spectrum(identity_object(S5), "t2")
     # the generic point {1} specializes to A5; its minimal open is itself
-    assert s.minimal_open(0) == frozenset({0})
-    assert s.minimal_open(1) == frozenset({0, 1})
-    assert s.closure({0}) == frozenset({0, 1})
+    assert s.space.minimal_open(0) == frozenset({0})
+    assert s.space.minimal_open(1) == frozenset({0, 1})
+    assert s.space.closure({0}) == frozenset({0, 1})
+
+
+def test_spaces_match_the_old_topology_bodies():
+    """Every spectrum of both catalogs under all four definitions: the
+    space lists what the old Spectrum methods listed, order included, also
+    on the spectra whose V(N) family is not closed under unions."""
+    from groupspec.catalog import catalog
+
+    checked = defects = 0
+    for cat in ("small", "large"):
+        for name, obj in catalog(cat):
+            for variant in ("t1", "t2"):
+                for prime_def in ("elementwise", "quotient"):
+                    spec = spectrum(obj, variant, prime_def)
+                    space, pts = spec.space, range(len(spec.primes))
+                    closed = naive_closed_sets(spec)
+                    where = (name, variant, prime_def)
+                    assert space.closed_sets == closed, where
+                    assert space.opens == naive_open_sets(spec), where
+                    for U in [*space.opens, *closed, *({p} for p in pts)]:
+                        assert space.is_open(U) == naive_is_open(spec, U), where
+                    for p in pts:
+                        assert space.minimal_open(p) == naive_minimal_open(spec, p), where
+                        assert space.closure({p}) == naive_closure(closed, pts, {p}), where
+                    assert space.specialization_edges() == naive_specialization_edges(spec), where
+                    assert irreducible_components(spec) == naive_irreducible_components(spec), where
+                    checked += 1
+                    defects += space.topology_defect() is not None
+    assert (checked, defects) == (88, 6)
+
+
+def test_points_outside_the_space_raise():
+    s = spectrum(identity_object(S5), "t2")
+    assert len(s.primes) == 2
+    for call, p in [
+        (s.space.minimal_open, 7),
+        (s.space.minimal_open, -1),
+        (lambda p: s.space.closure({0, p}), 9),
+        (lambda p: point_radical(s, p), 7),
+    ]:
+        with pytest.raises(GroupError, match=f"^no point {p} in a space of 2 points$"):
+            call(p)
+    assert not s.space.is_open({0, 9})
 
 
 def test_prime_defs_agree_on_t1():

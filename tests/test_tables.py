@@ -29,7 +29,7 @@ def _scheme(G, name, variant):
 def test_section_tables_match_naive_oracle(variant, prime_def):
     for name, obj in small_catalog():
         X = AffineScheme(spectrum(obj, variant, prime_def))
-        for U in X.opens():
+        for U in X.space.opens:
             G = X.section_group(U)
             if len(G) <= SECTION_TABLE_CAP:
                 got = G.as_ggroup().carrier.mul.tolist()
@@ -45,7 +45,7 @@ def test_glued_section_tables_match_naive_oracle():
     ]
     checked = 0
     for D in examples:
-        for W in D.opens():
+        for W in D.space.opens:
             G = D.section_group(W)
             if len(G) <= SECTION_TABLE_CAP:
                 got = G.as_ggroup().carrier.mul.tolist()

@@ -64,7 +64,7 @@ def test_tracer_runs_a_program_and_finds_every_hooked_name():
     assert report["caches"]["fingroup.quotient"]["misses"] > 0
     calls, counters = report["calls"], report["counters"]
     for name in ("sheaf.section_group", "sheaf.as_ggroup", "sheaf.verify", "sheaf.glue",
-                 "sheaf.stalk", "export.spectrum_to_dot"):
+                 "sheaf.stalk", "export.spectrum_to_dot", "spectrum.minimal_open"):
         assert calls.get(name, 0) > 0, name
     assert counters["sheaf.sections_tried"] >= counters["sheaf.sections_accepted"] > 0
     assert counters["sheaf.as_ggroup.products"] > 0

@@ -13,7 +13,7 @@ from groupspec.variety import (
     hom_variety_correspondence,
     maximality_probe,
     variety_of,
-    zariski_closed_sets,
+    zariski_space,
 )
 
 from oracles import naive_coordinate_group
@@ -116,7 +116,7 @@ def test_factorization_rejects_vanishing_probe():
 
 
 def test_zariski_closed_sets_lattice():
-    sets = zariski_closed_sets(Z2, 1, "t2", probe_len=3)
+    sets = zariski_space(Z2, 1, "t2", probe_len=3).closed_sets
     space = frozenset({(0,), (1,)})
     assert frozenset() in sets and space in sets
     for a in sets:
@@ -126,7 +126,7 @@ def test_zariski_closed_sets_lattice():
 
 def test_zariski_requires_integral():
     with pytest.raises(VarietyError):
-        zariski_closed_sets(Z2, 1, "t1")
+        zariski_space(Z2, 1, "t1")
 
 
 def test_hom_correspondence_line_to_line():
