@@ -694,7 +694,7 @@ def run_suite(suite: str, cat: str = "small") -> list[dict]:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     source, check = SUITES[suite]
     # sheaf-axioms records still carry the prop4.1 label (and so a repro
-    # that does not rerun them) until ROADMAP item 5 relabels them
+    # that does not rerun them) until ROADMAP item 8 relabels them
     label = "prop4.1" if suite == "sheaf-axioms" else suite
     return [_rec(label, *verdict, cat) for instance in source(cat) for verdict in check(*instance)]
 

@@ -404,12 +404,12 @@ class Interpreter:
         return self._get(name, lineno, GGroup, "a group or ggroup")
 
     def _scheme(self, name: str, lineno: int):
-        from .sheaf import Scheme, affine_scheme
+        from .sheaf import AffineScheme, affine_scheme
 
         v = self.env.get(name)
         if isinstance(v, Spectrum):
             return affine_scheme(v)
-        return self._get(name, lineno, Scheme, "a spectrum or scheme")
+        return self._get(name, lineno, AffineScheme, "a spectrum or scheme")
 
     def _do_group(self, st: Statement) -> GroupTable:
         d = st.data
@@ -544,7 +544,7 @@ class Interpreter:
             self.audit_failed = True
 
     def _do_export(self, st: Statement) -> None:
-        from .sheaf import Scheme
+        from .sheaf import AffineScheme
         from .variety import VarietySet
 
         d = st.data
@@ -563,7 +563,7 @@ class Interpreter:
             payload = export_mod.to_json_bytes(
                 export_mod.variety_to_dict(v, coordinate_group(v))
             )
-        elif isinstance(v, Scheme):
+        elif isinstance(v, AffineScheme):
             if fmt != "json":
                 raise DslError("schemes export as json only", st.lineno, 1)
             payload = export_mod.to_json_bytes(export_mod.scheme_to_dict(v))

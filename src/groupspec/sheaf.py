@@ -5,6 +5,8 @@ single carrier element realizing the values on the point's minimal open.
 A section is stored as a row: its coset indices in sorted point order.
 Minimal opens replace arbitrary covers: in a finite space every open cover
 refines to the minimal-open cover, so the two locality conditions agree.
+``AffineScheme`` holds the one section machinery; ``GluedScheme`` inherits
+it and only relabels the spectrum its charts share.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .spectrum import (
 
 __all__ = [
     "SheafError",
-    "Scheme",
     "SchemeSection",
     "SectionGroup",
     "AffineScheme",
@@ -84,31 +85,6 @@ class SchemeSection:
 def _positions(U: frozenset) -> dict:
     """Each point of U mapped to its place in a row, in sorted point order."""
     return {p: i for i, p in enumerate(sorted(U))}
-
-
-@runtime_checkable
-class Scheme(Protocol):
-    """What a scheme offers: points, a finite topology and section groups.
-
-    ``AffineScheme`` and ``GluedScheme`` both satisfy it.  The topology is
-    ``space``: an affine scheme's is its spectrum's (the V(N) family as
-    computed, never closed under unions), a glued scheme's is built from
-    its charts' spaces.
-    """
-
-    points: tuple
-    base: GroupTable
-    structure: Homomorphism  # base -> carrier
-    space: FiniteSpace
-
-    def label(self) -> str: ...
-    def minimal_open(self, p) -> frozenset: ...
-    def point_quotient(self, p) -> QuotientGroup: ...
-    def section_group(self, U: Iterable) -> "SectionGroup": ...
-    def restrict(self, s: SchemeSection, U: frozenset) -> SchemeSection: ...
-    def element_rows(self, U: Iterable, hs: Sequence[int]) -> np.ndarray: ...
-    def stalk(self, p) -> tuple["SectionGroup", dict]: ...
-    def charts(self) -> list["AffineScheme"]: ...
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
@@ -223,47 +199,57 @@ class AffineScheme:
     A value map on an open U is a section iff, at every point p of U, its
     values on minopen(p) are the cosets of one carrier element.  Those value
     tuples form p's local image, computed once per point, and the sections
-    over U are the natural join of the local images of U's points.
+    over U are the natural join of the local images of U's points.  The
+    spectrum is read through ``_prime(point)`` and ``_label(point, q)`` (the
+    point that prime q stands for near the point), the identity here.
     """
-
-    # how an open is listed in messages; glued points sort by repr
-    _message_order = None
 
     def __init__(self, spec: Spectrum):
         self.spectrum = spec
         self.base = spec.object.base
         self.structure = spec.object.structure
         self.points: tuple = tuple(range(len(spec.primes)))
-        self.space = spec.space
         self._sections: dict[frozenset, SectionGroup] = {}
-        self._quotients: dict[int, QuotientGroup] = {}
-        self._images: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._images: dict[object, tuple[tuple, np.ndarray]] = {}
+
+    @cached_property
+    def space(self) -> FiniteSpace:
+        return self.spectrum.space
 
     def label(self) -> str:
         return f"Spec_{self.spectrum.variant}({self.spectrum.object.label()})"
+
+    def _prime(self, point) -> int:
+        return point
+
+    def _label(self, point, q):
+        return q
+
+    def _listed(self, U: Iterable) -> list:
+        """U's points in the order messages list them."""
+        return sorted(U)
 
     def minimal_open(self, p) -> frozenset:
         if p not in self.points:
             raise SheafError(f"no point {p!r}: {self.label()} has {len(self.points)} points")
         return self.space.minimal_open(p)
 
-    def point_quotient(self, p: int) -> QuotientGroup:
-        if p not in self._quotients:
-            self._quotients[p] = quotient(
-                self.spectrum.object.carrier, self.spectrum.primes[p].members
-            )
-        return self._quotients[p]
+    def point_quotient(self, point) -> QuotientGroup:
+        spec = self.spectrum
+        return quotient(spec.object.carrier, spec.primes[self._prime(point)].members)
 
-    def _local_image(self, p: int) -> tuple[tuple, np.ndarray]:
-        """(sorted minopen(p), image): image holds the distinct rows of
-        coset indices over minopen(p) of the carrier's elements.  The cosets
-        of P_p cover the carrier, so every h realizes a value at p."""
-        if p not in self._images:
-            mo = tuple(sorted(self.minimal_open(p)))
+    def _local_image(self, point) -> tuple[tuple, np.ndarray]:
+        """(sorted mo, image): mo is what the spectrum's minimal open around
+        the point's prime stands for, image the distinct rows of coset
+        indices over mo of the carrier's elements.  The cosets of the prime
+        cover the carrier, so every h realizes a value at the point."""
+        if point not in self._images:
+            near = self.spectrum.space.minimal_open(self._prime(point))
+            mo = tuple(sorted(self._label(point, q) for q in near))
             rows = self.element_rows(mo, range(self.structure.target.order))
             image = sorted(set(map(tuple, rows.tolist())))
-            self._images[p] = (mo, np.array(image, dtype=np.int64).reshape(len(image), len(mo)))
-        return self._images[p]
+            self._images[point] = (mo, np.array(image, dtype=np.int64).reshape(len(image), len(mo)))
+        return self._images[point]
 
     @cached_property
     def _projections(self) -> np.ndarray:
@@ -296,7 +282,7 @@ class AffineScheme:
         U = frozenset(U)
         if U not in self._sections:
             if not self.space.is_open(U):
-                raise SheafError(f"{sorted(U, key=self._message_order)} is not open")
+                raise SheafError(f"{self._listed(U)} is not open")
             self._sections[U] = SectionGroup(self, U, self._join(sorted(U)))
         return self._sections[U]
 
@@ -339,28 +325,36 @@ def affine_scheme(spec: Spectrum) -> AffineScheme:
 # -- glued schemes ---------------------------------------------------------
 
 
-class GluedScheme:
+class GluedScheme(AffineScheme):
     """Two affine schemes glued by the identity along a common open U.
 
     Points are labeled ("L", p) for the first piece and ("R", q) for the
     second; the points of U keep their "L" label.  A set is closed iff both
-    its traces are closed (the quotient topology).
+    its traces are closed (the quotient topology).  glue admits charts with
+    one carrier and one list of primes only, so X1's spectrum serves every
+    point, and a local image is the chart's relabeled: a chart's minimal
+    open lies inside every glued open around the point.
     """
 
-    _message_order = repr
-
     def __init__(self, X1: AffineScheme, X2: AffineScheme, U: frozenset):
+        super().__init__(X1.spectrum)
         self.X1, self.X2 = X1, X2
         self.U = frozenset(U)
-        self.base = X1.base
-        self.structure = X1.structure
         self.points = tuple(
             [("L", p) for p in X1.points] + [("R", q) for q in X2.points if q not in self.U]
         )
-        self._sections: dict[frozenset, SectionGroup] = {}
 
     def label(self) -> str:
         return f"Glued({self.X1.label()},{self.X2.label()})"
+
+    def _prime(self, point) -> int:
+        return point[1]
+
+    def _label(self, point, q):
+        return ("L", q) if point[0] == "L" or q in self.U else ("R", q)
+
+    def _listed(self, U: Iterable) -> list:
+        return sorted(U, key=repr)
 
     @cached_property
     def space(self) -> FiniteSpace:
@@ -368,7 +362,7 @@ class GluedScheme:
         same trace on U, so chart closed sets are paired by trace.  Points
         are listed in message order."""
         s1, s2 = self.X1.space, self.X2.space
-        points = sorted(self.points, key=self._message_order)
+        points = self._listed(self.points)
         bit = {p: 1 << i for i, p in enumerate(points)}
         u = s1.mask(self.U)  # both charts have the same points
         left = [bit[("L", p)] for p in s1.points]
@@ -379,35 +373,9 @@ class GluedScheme:
         closed = [_map_bits(c, left) | r for c in s1.closed_masks for r in by_trace.get(c & u, ())]
         return FiniteSpace(points, closed)
 
-    minimal_open = AffineScheme.minimal_open
-
-    # -- sections ----------------------------------------------------------
-
-    def point_quotient(self, point) -> QuotientGroup:
-        side, p = point
-        return (self.X1 if side == "L" else self.X2).point_quotient(p)
-
-    def _local_image(self, point) -> tuple[tuple, np.ndarray]:
-        """The chart's local image at the point, over glued labels: a point
-        of U keeps its ("L", p) label.  glue admits equal carriers and
-        primes only, so at a point of U either chart's image serves, and a
-        chart's minimal open lies inside every glued open around the point."""
-        side, p = point
-        mo, image = (self.X1 if side == "L" else self.X2)._local_image(p)
-        return tuple(("L", r) if side == "L" or r in self.U else ("R", r) for r in mo), image
-
-    # a glued open's sections are the join of its points' local images too
-    section_group = AffineScheme.section_group
-    _join = AffineScheme._join
-    _projections = AffineScheme._projections
-    element_rows = AffineScheme.element_rows
-    section_from_element = AffineScheme.section_from_element
-    restrict = AffineScheme.restrict
-
     def stalk(self, point) -> tuple[SectionGroup, dict]:
-        mo = self.minimal_open(point)
+        group = self.section_group(self.minimal_open(point))
         side, p = point
-        group = self.section_group(mo)
         inner, report = (self.X1 if side == "L" else self.X2).stalk(p)
         return group, {"chart_stalk_order": len(inner), **report}
 
@@ -428,7 +396,7 @@ def glue(X1, X2, U1: Iterable, U2: Iterable) -> GluedScheme:
     U1, U2 = frozenset(U1), frozenset(U2)
     if not X1.space.is_open(U1) or not X2.space.is_open(U2):
         raise SheafError("gluing opens must be open")
-    if not (isinstance(X1, AffineScheme) and isinstance(X2, AffineScheme)):
+    if not (type(X1) is AffineScheme and type(X2) is AffineScheme):
         raise SheafError("identity gluing needs two affine schemes")
     s1, s2 = X1.spectrum, X2.spectrum
     if (

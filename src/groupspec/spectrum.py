@@ -253,10 +253,11 @@ def vanishing_set(spec: Spectrum, N: Subgroup) -> frozenset:
 
 
 def radical(spec: Spectrum, S: Iterable[int]) -> Subgroup:
-    """Intersection of the selected primes; the whole carrier when S is empty."""
+    """Intersection of the selected primes; the whole carrier when S is empty.
+    A non-point of the space raises GroupError."""
     H = spec.object.carrier
     out = Subgroup(H, range(H.order))
-    for i in S:
+    for i in _indices(spec.space.mask(S)):
         out = out.intersection(spec.primes[i].members)
     return out
 

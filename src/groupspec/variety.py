@@ -347,10 +347,9 @@ def hom_variety_correspondence(
             return FiniteSpace(W.points, [0, (1 << len(W.points)) - 1])
         return zariski_space(G, W.nvars, variant, probe_len).subspace(W.points)
 
-    space_V, space_Vp = space(V), space(Vp)
-
-    FG = coordinate_group(V)
-    FGp = coordinate_group(Vp)
+    # an endomorphism correspondence (Vp is V) builds each once
+    space_V, FG = space(V), coordinate_group(V)
+    space_Vp, FGp = (space_V, FG) if Vp is V else (space(Vp), coordinate_group(Vp))
     fg_set = set(FG.elements)
 
     # variety morphisms: continuous maps pulling regular functions back to
@@ -371,7 +370,7 @@ def hom_variety_correspondence(
             var_morphisms.append(images)
 
     A = FGp.as_ggroup()
-    B = FG.as_ggroup()
+    B = A if FG is FGp else FG.as_ggroup()
     gms = enumerate_g_morphisms(A, B)
 
     # b: function-group morphism -> geometric map

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name its ``__all__`` lists is bound in it.
+"""Every name a package module imports is used in that module, every
+name its ``__all__`` lists is bound in it, and no class borrows another
+class's function as an attribute.
 
 No linter ships with the test environment, so this reads each module with
 ``ast``: an imported name must appear as a name in the module's code
@@ -9,6 +10,8 @@ exists to re-export, so the unused-import test skips it.
 
 import ast
 import importlib
+import types
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,32 @@ def test_all_names_are_bound(path):
     module = importlib.import_module(name)
     stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not stale, f"{path.name}: __all__ names nothing is bound to: {stale}"
+
+
+def _class_functions(module):
+    """(class, attribute, function) for each package function that a class
+    of the module binds, through cached_property, staticmethod and
+    classmethod too."""
+    for cls in vars(module).values():
+        if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+            continue
+        for attr, value in vars(cls).items():
+            if isinstance(value, cached_property):
+                value = value.func
+            elif isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            if isinstance(value, types.FunctionType) and value.__module__.startswith("groupspec"):
+                yield cls, attr, value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_borrowed_methods(path):
+    """A class inherits what it shares; an attribute bound to a function of
+    another class or of the module hides which class owns the code."""
+    module = importlib.import_module(f"groupspec.{path.stem}")
+    borrowed = [
+        f"{cls.__name__}.{attr} = {fn.__qualname__}"
+        for cls, attr, fn in _class_functions(module)
+        if not fn.__qualname__.startswith(f"{cls.__qualname__}.")
+    ]
+    assert not borrowed, f"{path.name}: borrowed functions {borrowed}"

@@ -24,7 +24,6 @@ from groupspec.spectrum import Ideal, Spectrum, quotient_object, spectrum, whole
 from groupspec.sheaf import (
     AffineScheme,
     GluedScheme,
-    Scheme,
     SchemeMorphism,
     SchemeSection,
     SectionGroup,
@@ -90,7 +89,7 @@ def test_section_groups_match_naive_oracle(variant, prime_def):
 
 def test_glued_section_groups_match_naive_oracle():
     for D in _glued_examples():
-        assert isinstance(D, Scheme) and isinstance(D.X1, Scheme)
+        assert isinstance(D, AffineScheme) and isinstance(D.X1, AffineScheme)
         want = {W: [v for v, _ in naive_section_group(D, W)] for W in D.space.opens}
         for W in D.space.opens:
             G = D.section_group(W)
@@ -213,6 +212,28 @@ def test_glued_minimal_open_rejects_missing_points():
     for missing in [("L", 99), ("R", 0), 0]:
         with pytest.raises(SheafError, match=re.escape(f"no point {missing!r}")):
             D.minimal_open(missing)
+
+
+def test_scheme_messages_list_the_set():
+    """Both kinds of scheme name a missing point and list a non-open set:
+    an affine scheme in sorted order, a glued one in repr order, which also
+    orders a set mixing labels with a non-point."""
+    X = _s5_scheme()
+    D = glue(_s5_scheme(), _s5_scheme(), frozenset({0}), frozenset({0}))
+    for scheme, U, listed in [
+        (X, {99, 0}, "[0, 99]"),
+        (D, {("R", 1), ("L", 1)}, "[('L', 1), ('R', 1)]"),
+        (D, {0, ("L", 0)}, "[('L', 0), 0]"),
+    ]:
+        with pytest.raises(SheafError, match=f"^{re.escape(listed)} is not open$"):
+            scheme.section_group(U)
+    for scheme, missing, label in [
+        (X, 9, "Spec_t2(S5) has 2 points"),
+        (D, ("R", 0), "Glued(Spec_t2(S5),Spec_t2(S5)) has 3 points"),
+    ]:
+        for call in (scheme.minimal_open, scheme.stalk):
+            with pytest.raises(SheafError, match=f"^{re.escape(f'no point {missing!r}: {label}')}$"):
+                call(missing)
 
 
 def test_sheaf_axioms_on_catalog_examples():
@@ -374,6 +395,7 @@ def _glue_rejections():
     return [
         (S, S, {1}, {1}, "gluing opens must be open"),
         (glue(S, S, {0}, {0}), S, none, none, "identity gluing needs two affine schemes"),
+        (S, glue(S, S, {0}, {0}), none, none, "identity gluing needs two affine schemes"),
         (S, S, {0}, {0, 1}, "identity gluing needs equal spectra and equal opens"),
         (S, AffineScheme(spectrum(identity_object(S5, "S5"), "t1")), none, none,
          "identity gluing needs equal spectra and equal opens"),

@@ -187,6 +187,8 @@ def test_points_outside_the_space_raise():
         (s.space.minimal_open, -1),
         (lambda p: s.space.closure({0, p}), 9),
         (lambda p: point_radical(s, p), 7),
+        (lambda p: radical(s, [p]), -1),
+        (lambda p: radical(s, [0, p]), 7),
     ]:
         with pytest.raises(GroupError, match=f"^no point {p} in a space of 2 points$"):
             call(p)
