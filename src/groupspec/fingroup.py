@@ -3,11 +3,12 @@
 Every group is materialized as a full multiplication table over element
 indices 0..n-1 with a fixed canonical order, so all downstream searches are
 exhaustive and deterministic.  Set-valued results are always emitted sorted.
+Permutation and pointwise tables are filled by one coset walk from the rows
+of a few generators (``_fill_table``); S_n and A_n come from two generators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -609,27 +610,53 @@ def pointwise_table(
 ) -> np.ndarray:
     """Cayley table of distinct tuples under the pointwise product.
 
-    Column c of ``rows`` multiplies in ``factors[c]``.  Each product row is
-    looked up among ``rows`` (by ``find``, a ``_row_index`` of ``rows`` the
-    caller already holds, else a new one), so a product that is not a row
-    raises GroupError: closure is checked exactly.  One left factor at a
-    time, so the extra memory is O(n*k), never an n*n*k array.
+    Column c of ``rows`` multiplies in ``factors[c]``.  The identity tuple
+    and each generator's product row are looked up among ``rows`` (by
+    ``find``, a ``_row_index`` of ``rows`` the caller already holds, else a
+    new one), so a product that is not a row raises GroupError: closure is
+    checked exactly (``_fill_table``).
     """
-    n, k = len(rows), len(factors)
-    if k == 0:  # the one empty row
-        return np.zeros((n, n), dtype=_dtype_for(n))
     R = np.asarray(rows, dtype=np.int64)
-    # each distinct factor table flattened once; a*b in column c is at
-    # flat[off[c] + a * order_c + b]
-    distinct = {id(t): t for t in factors}
-    start = dict(zip(distinct, np.cumsum([0] + [t.order ** 2 for t in distinct.values()])))
-    flat = np.concatenate([t.mul.ravel() for t in distinct.values()]).astype(np.int64)
-    off = np.asarray([start[id(t)] for t in factors])
-    left = off + R * np.asarray([t.order for t in factors])
     find = find or _row_index(R)
+    e = _found(find(np.array([[t.id for t in factors]])))
+
+    def times(g: int) -> np.ndarray:
+        prods = [t.mul[a, R[:, c]] for c, (t, a) in enumerate(zip(factors, R[g]))]
+        return _found(find(np.column_stack(prods)))
+
+    return _fill_table(len(R), int(e[0]), times)
+
+
+def _fill_table(n: int, e: int, times) -> np.ndarray:
+    """The Cayley table of n elements with identity e, from the rows
+    ``times(g)`` (the index of g*x for every x; it raises on a product
+    outside the set) of the greedy generators only.  Dimino's coset walk,
+    as in ``GroupTable._close``: the group K reached so far grows by the
+    least element g outside it, walked as right cosets K*y, y = r*s for a
+    representative r and a generator s; since row(k*y) = row(k)[row(y)] and
+    k*y = row(k)[y], each new coset is one gather.  Every element is a
+    product of generators whose rows stay in the set: the set is closed."""
     table = np.empty((n, n), dtype=_dtype_for(n))
-    for i in range(n):
-        table[i] = _found(find(flat[left[i] + R]))
+    table[e] = np.arange(n)
+    reached = bytearray(n)
+    reached[e] = 1
+    mask = np.frombuffer(reached, dtype=bool)  # a view of reached
+    K = np.array([e])
+    gens: list[int] = []
+    while len(K) < n:
+        g = reached.index(0)
+        table[g] = times(g)
+        gens.append(g)
+        reps = [e]
+        for r in reps:  # grows while walked
+            for s in gens:
+                y = int(table[r, s])
+                if not reached[y]:
+                    coset = table[K, y]
+                    table[coset] = table[K[:, None], table[r, table[s]]]
+                    mask[coset] = True
+                    reps.append(y)
+        K = np.flatnonzero(mask)
     return table
 
 
@@ -660,18 +687,14 @@ def cyclic(n: int) -> GroupTable:
 
 def _perm_group(perms: list[tuple[int, ...]], name: str) -> GroupTable:
     """Table of a set of permutations closed under composition, elements in
-    sorted order: p*q sends k to p[q[k]].  Whole blocks of rows compose at
-    once, P[block][:, P], and each product is ranked by its row key."""
+    sorted order: p*q sends k to p[q[k]], so the row of p ranks the rows of
+    P[p][P] by their keys."""
     perms = sorted(set(perms))
-    n = len(perms)
     # a degree-0 permutation () stands in as the one fixed point (0,)
     P = np.array([p or (0,) for p in perms])
     P = P.astype(np.min_scalar_type(P.shape[1]))
     find = _row_index(P)
-    mul = np.empty((n, n), dtype=_dtype_for(n))
-    step = max(1, 2 ** 16 // n)  # rows per block: about 2**16 products
-    for i in range(0, n, step):
-        mul[i : i + step] = _found(find(P[i : i + step][:, P])).reshape(-1, n)
+    mul = _fill_table(len(perms), 0, lambda g: _found(find(P[g][P])))  # the identity sorts first
     return GroupTable(mul, labels=[_cycle_label(p) for p in perms], name=name, validate=False)
 
 
@@ -694,34 +717,22 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 
 
 def symmetric(n: int) -> GroupTable:
+    """S_n from (1 2) and (1 2 ... n)."""
     if n < 0:
         raise GroupError("symmetric(n) needs n >= 0")
     _check_order(math.factorial(n), f"S{n}")
-    return _perm_group(list(itertools.permutations(range(n))), f"S{n}")
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    sign = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        sign += ln - 1
-    return sign % 2
+    gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)] if n > 1 else []
+    return from_permutations(n, gens, f"S{n}")
 
 
 def alternating(n: int) -> GroupTable:
+    """A_n from (1 2 3) and (1 2 ... n) for odd n, (2 3 ... n) for even n."""
     if n < 0:
         raise GroupError("alternating(n) needs n >= 0")
     _check_order(max(math.factorial(n) // 2, 1), f"A{n}")
-    return _perm_group(
-        [p for p in itertools.permutations(range(n)) if _parity(p) == 0], f"A{n}"
-    )
+    cycle = tuple(range(1, n)) + (0,) if n % 2 else (0,) + tuple(range(2, n)) + (1,)
+    gens = [(1, 2, 0) + tuple(range(3, n)), cycle] if n > 2 else []
+    return from_permutations(n, gens, f"A{n}")
 
 
 def dihedral(n: int) -> GroupTable:
@@ -739,38 +750,12 @@ def dihedral(n: int) -> GroupTable:
 
 
 def quaternion8() -> GroupTable:
-    # elements 1, -1, i, -i, j, -j, k, -k encoded as (axis, sign)
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    axis = [0, 0, 1, 1, 2, 2, 3, 3]  # 0 = scalar, 1 = i, 2 = j, 3 = k
-    sign = [1, -1, 1, -1, 1, -1, 1, -1]
-    mul_axis = {
-        (0, a): a for a in range(4)
-    }
-    for a in range(4):
-        mul_axis[(a, 0)] = a
-    qtab = {
-        (1, 1): (0, -1),
-        (2, 2): (0, -1),
-        (3, 3): (0, -1),
-        (1, 2): (3, 1),
-        (2, 1): (3, -1),
-        (2, 3): (1, 1),
-        (3, 2): (1, -1),
-        (3, 1): (2, 1),
-        (1, 3): (2, -1),
-    }
-
-    def mul(i, j):
-        a1, s1, a2, s2 = axis[i], sign[i], axis[j], sign[j]
-        if a1 == 0 or a2 == 0:
-            a, s = mul_axis[(a1, a2)], 1
-        else:
-            a, s = qtab[(a1, a2)]
-        s = s * s1 * s2
-        return names.index(names[2 * a] if a else "1") + (0 if s == 1 else 1)
-
-    table = [[mul(i, j) for j in range(8)] for i in range(8)]
-    return GroupTable(table, labels=names, name="Q8", validate=True)
+    """Element 2a + s is (-1)^s * unit[a], the units 1, i, j, k; unit[a] *
+    unit[b] is unit[a ^ b], negated where SIGN[a, b] = 1."""
+    SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    a, s = np.arange(8)[:, None] // 2, np.arange(8)[:, None] % 2
+    mul = 2 * (a ^ a.T) + (SIGN[a, a.T] ^ s ^ s.T)
+    return GroupTable(mul, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], name="Q8", validate=True)
 
 
 def direct_product(A: GroupTable, B: GroupTable) -> GroupTable:
@@ -791,13 +776,12 @@ def from_permutations(degree: int, gens: Sequence[tuple[int, ...]], name: str = 
         if sorted(g) != list(range(degree)):
             raise GroupError(f"not a permutation of 0..{degree - 1}: {g}")
     ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
+    seen, frontier = {ident}, [ident]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = tuple(p[g[k]] for k in range(degree))
+                q = tuple(map(p.__getitem__, g))
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -888,6 +872,4 @@ def parse_perm_text(text: str) -> GroupTable:
     except (IndexError, ValueError):
         raise GroupError("malformed perm header") from None
     gens = [_parse_cycles(part, degree) for part in rest.split(";") if part.strip()]
-    if not gens:
-        gens = [tuple(range(degree))]
     return from_permutations(degree, gens, name=f"perm{degree}")

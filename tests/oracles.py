@@ -14,7 +14,14 @@ import itertools
 import numpy as np
 
 from groupspec import freeprod as fp
-from groupspec.fingroup import GroupError, GroupTable, Homomorphism, Subgroup, normal_subgroups
+from groupspec.fingroup import (
+    GroupError,
+    GroupTable,
+    Homomorphism,
+    Subgroup,
+    _row_index,
+    normal_subgroups,
+)
 from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
 from groupspec.spectrum import radical, vanishing_set
 from groupspec.variety import CLOSURE_CAP, FunctionGroup, VarietyError
@@ -507,6 +514,68 @@ def naive_perm_table(perms) -> GroupTable:
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
     return GroupTable(mul, labels=[naive_cycle_label(p) for p in perms], validate=False)
+
+
+def block_perm_table(perms) -> GroupTable:
+    """The former permutation-table builder: every product, composed a
+    block of about 2**16 at a time (P[block][:, P]) and ranked among the
+    sorted elements by its row key."""
+    perms = sorted(set(perms))
+    n = len(perms)
+    P = np.array([p or (0,) for p in perms])  # () stands in as (0,)
+    P = P.astype(np.min_scalar_type(P.shape[1]))
+    find = _row_index(P)
+    mul = np.empty((n, n), dtype=np.int16 if n < 2 ** 15 else np.int32)
+    step = max(1, 2 ** 16 // n)
+    for i in range(0, n, step):
+        idx = find(P[i : i + step][:, P])
+        if (idx < 0).any():
+            raise GroupError("pointwise product is not a row")
+        mul[i : i + step] = idx.reshape(-1, n)
+    return GroupTable(mul, labels=[naive_cycle_label(p) for p in perms], validate=False)
+
+
+def per_row_pointwise_table(factors, rows) -> np.ndarray:
+    """The former pointwise-table builder: each of the n product rows looked
+    up in turn, column c multiplied in factors[c] through one flattened
+    array of the factor tables."""
+    n, k = len(rows), len(factors)
+    if k == 0:  # the one empty row
+        return np.zeros((n, n), dtype=np.int16)
+    R = np.asarray(rows, dtype=np.int64)
+    distinct = {id(t): t for t in factors}
+    start = dict(zip(distinct, np.cumsum([0] + [t.order ** 2 for t in distinct.values()])))
+    flat = np.concatenate([t.mul.ravel() for t in distinct.values()]).astype(np.int64)
+    off = np.asarray([start[id(t)] for t in factors])
+    left = off + R * np.asarray([t.order for t in factors])  # a*b at flat[off + a*order + b]
+    find = _row_index(R)
+    table = np.empty((n, n), dtype=np.int16 if n < 2 ** 15 else np.int32)
+    for i in range(n):
+        idx = find(flat[left[i] + R])
+        if (idx < 0).any():
+            raise GroupError("pointwise product is not a row")
+        table[i] = idx
+    return table
+
+
+def naive_quaternion8() -> GroupTable:
+    """Q8 as the integer quaternions +-1, +-i, +-j, +-k, 4-tuples (w, x, y, z)
+    under the Hamilton product, listed 1, -1, i, -i, j, -j, k, -k."""
+    units = [tuple(int(a == b) for b in range(4)) for a in range(4)]
+    elems = [tuple(sign * c for c in u) for u in units for sign in (1, -1)]
+
+    def hamilton(p, q):
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = p, q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    index = {q: i for i, q in enumerate(elems)}
+    table = [[index[hamilton(p, q)] for q in elems] for p in elems]
+    return GroupTable(table, labels=["1", "-1", "i", "-i", "j", "-j", "k", "-k"], validate=False)
 
 
 def naive_cyclic(n: int) -> GroupTable:

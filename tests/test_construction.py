@@ -20,16 +20,17 @@ from groupspec.fingroup import (
     from_permutations,
     parse_cayley_text,
     parse_perm_text,
-    quaternion8,
     symmetric,
 )
 
 from oracles import (
+    block_perm_table,
     naive_cyclic,
     naive_dihedral,
     naive_direct_product,
     naive_perm_closure,
     naive_perm_table,
+    naive_quaternion8,
 )
 
 
@@ -43,11 +44,15 @@ def _naive_symmetric(n):
     return naive_perm_table(itertools.permutations(range(n)))
 
 
-def _naive_alternating(n):
+def _even_permutations(n):
     def even(p):
         return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
 
-    return naive_perm_table(p for p in itertools.permutations(range(n)) if even(p))
+    return [p for p in itertools.permutations(range(n)) if even(p)]
+
+
+def _naive_alternating(n):
+    return naive_perm_table(_even_permutations(n))
 
 
 def test_symmetric_and_alternating_match_oracle():
@@ -71,7 +76,7 @@ def test_catalog_groups_match_oracle():
         "V4": lambda: naive_direct_product(naive_cyclic(2), naive_cyclic(2)),
         "S3": lambda: _naive_symmetric(3),
         "D4": lambda: naive_dihedral(4),
-        "Q8": quaternion8,  # written out by hand, no constructor loop to compare
+        "Q8": naive_quaternion8,
         "A4": lambda: _naive_alternating(4),
         "S4": lambda: _naive_symmetric(4),
         "A5": lambda: _naive_alternating(5),
@@ -81,6 +86,23 @@ def test_catalog_groups_match_oracle():
     assert set(naive) == set(groups())
     for name, G in groups().items():
         _same_table(G, naive[name]())
+
+
+def test_permutation_tables_match_the_block_builder():
+    # 0-based image tuples of (1 2 3 4 5 6 7), (1 2)(3 6) and (1 2 3 4 5), (2 3 5 4)
+    psl27 = [(1, 2, 3, 4, 5, 6, 0), (1, 0, 5, 3, 4, 2, 6)]
+    f20 = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]
+    cases = [
+        (symmetric(6), itertools.permutations(range(6))),
+        (alternating(6), _even_permutations(6)),
+        (alternating(7), _even_permutations(7)),
+        (parse_perm_text("perm 7: (1 2 3 4 5 6 7); (1 2)(3 6)"), naive_perm_closure(7, psl27)),
+        (parse_perm_text("perm 5: (1 2 3 4 5); (2 3 5 4)"), naive_perm_closure(5, f20)),
+        (parse_perm_text("perm 3:"), [(0, 1, 2)]),  # no cycles: the trivial group
+    ]
+    for G, perms in cases:
+        _same_table(G, block_perm_table(perms))
+    assert [G.order for G, _ in cases] == [720, 360, 2520, 168, 20, 1]
 
 
 @st.composite
@@ -117,7 +139,7 @@ def no_building(monkeypatch):
 
     for name in ("empty", "zeros", "arange", "array"):
         monkeypatch.setattr(fingroup.np, name, boom)
-    monkeypatch.setattr(fingroup.itertools, "permutations", boom)
+    monkeypatch.setattr(fingroup, "_fill_table", boom)
 
 
 class _Huge:
@@ -171,8 +193,7 @@ def test_cli_exits_2_on_a_group_over_the_cap(program, tmp_path, capsys, monkeypa
     def boom(*args, **kwargs):
         raise AssertionError("reached a table allocation")
 
-    monkeypatch.setattr(fingroup.itertools, "permutations", boom)
-    monkeypatch.setattr(fingroup, "_perm_group", boom)
+    monkeypatch.setattr(fingroup, "_fill_table", boom)
     real = fingroup.direct_product
     # the factors' tables must never be read: the cap refuses first
     monkeypatch.setattr("groupspec.dsl.direct_product",

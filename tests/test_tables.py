@@ -1,6 +1,7 @@
 """Pointwise Cayley tables of section groups and function groups against
 brute-force tables built from the oracles' element lists."""
 
+import numpy as np
 import pytest
 
 from groupspec.catalog import small_catalog
@@ -17,7 +18,7 @@ from groupspec.sheaf import (
 from groupspec.spectrum import spectrum
 from groupspec.variety import FunctionGroup, coordinate_group, variety_of
 
-from oracles import naive_function_table, naive_section_table
+from oracles import naive_function_table, naive_section_table, per_row_pointwise_table
 
 
 def _scheme(G, name, variant):
@@ -64,10 +65,47 @@ def test_function_group_tables_match_naive_oracle():
         assert F.as_ggroup().carrier.mul.tolist() == naive_function_table(F)
 
 
+def test_audit_tables_match_the_per_row_builder(monkeypatch):
+    """Every section and function table the audits of both catalogs build:
+    the same table and dtype as the former builder, which looks up all n
+    product rows."""
+    from groupspec import checks
+
+    built = {}
+    for cls in (SectionGroup, FunctionGroup):
+
+        def keep(self, real=cls.as_ggroup):
+            out = real(self)
+            built[id(self)] = self
+            return out
+
+        monkeypatch.setattr(cls, "as_ggroup", keep)
+    for cat in ("small", "large"):
+        for suite in checks.SUITES:
+            checks.run_suite(suite, cat)
+    kinds = {SectionGroup: 0, FunctionGroup: 0}
+    for G in built.values():
+        if isinstance(G, SectionGroup):
+            factors = [G.scheme.point_quotient(p).table for p in sorted(G.open_set)]
+            rows = G.rows
+        else:
+            factors, rows = [G.variety.group] * len(G.variety.points), G.elements
+        got, want = G.as_ggroup().carrier.mul, per_row_pointwise_table(factors, rows)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        kinds[type(G)] += 1
+    assert kinds[SectionGroup] > 20 and kinds[FunctionGroup] > 5
+
+
 def test_products_outside_the_rows_raise():
     Z3 = cyclic(3)
     with pytest.raises(GroupError, match="not a row"):
         pointwise_table([Z3], [(0,), (1,)])
+    with pytest.raises(GroupError, match="not a row"):  # no identity
+        pointwise_table([Z3], [(1,), (2,)])
+    # closed under the first greedy generator (0, 1), not under (1, 0)
+    with pytest.raises(GroupError, match="not a row"):
+        pointwise_table([Z3, Z3], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])
+    assert pointwise_table([], [()]).tolist() == [[0]]
     assert pointwise_table([Z3, Z3], [(0, 0), (1, 2), (2, 1)]).tolist() == [
         [0, 1, 2], [1, 2, 0], [2, 0, 1]
     ]
