@@ -295,11 +295,29 @@ def parse_word(ctx: WordContext, text: str) -> Word:
 
 
 def _conjugates(G: GroupTable, s: tuple) -> Iterator[tuple]:
-    """The reduced conjugates c_g * s * c_g^-1, g in index order."""
-    return (
-        _join(G, _join(G, (("g", g),), s), (("g", G.inverse(g)),)) if g != G.id else s
-        for g in range(G.order)
-    )
+    """The reduced conjugates c_g * s * c_g^-1, g in index order, repeats kept.
+
+    In a reduced word only the two end syllables can meet c_g and c_g^-1.
+    A coefficient end merges with its neighbour by one table read and drops
+    out when the product is 1; a letter end gets c_g or c_g^-1 as a new
+    syllable.  A constant (a) becomes (g*a*g^-1), and the empty word stays
+    empty.
+    """
+    e = G.id
+    if not s or (len(s) == 1 and s[0][0] == "g"):
+        a = s[0][1] if s else e  # conjugating 1 gives 1
+        for g in range(G.order):
+            c = G.conj(g, a)
+            yield (("g", c),) if c != e else ()
+        return
+    head = s[0][1] if s[0][0] == "g" else None
+    tail = s[-1][1] if s[-1][0] == "g" else None
+    body = s[head is not None : len(s) - (tail is not None)]
+    for g in range(G.order):
+        gi = G.inverse(g)
+        left = g if head is None else G.op(g, head)
+        right = gi if tail is None else G.op(tail, gi)
+        yield ((("g", left),) if left != e else ()) + body + ((("g", right),) if right != e else ())
 
 
 def span_generators(w: Word) -> list[Word]:
@@ -307,14 +325,15 @@ def span_generators(w: Word) -> list[Word]:
     return [Word(w.context, c) for c in dict.fromkeys(_conjugates(w.context.group, w.syllables))]
 
 
-def _spans_commute(x_gens: Sequence[Word], y_gens: Sequence[Word]) -> bool:
-    # reduced forms are unique, so ab = ba exactly when the tuples agree
-    G = x_gens[0].context.group
-    return all(
-        _join(G, a.syllables, b.syllables) == _join(G, b.syllables, a.syllables)
-        for a in x_gens
-        for b in y_gens
-    )
+def _commutes_with_orbit(G: GroupTable, x: tuple, y: tuple) -> bool:
+    """Whether the spans of x and y commute: x commutes with every c_k * y * c_k^-1.
+
+    Conjugation by c_g^-1 is an automorphism, so [c_g x c_g^-1, c_h y c_h^-1]
+    = 1 exactly when [x, c_k y c_k^-1] = 1 with k = g^-1 h: one conjugate
+    orbit of |G| tests decides all |G|^2 generator pairs.  Reduced forms are
+    unique, so xc = cx exactly when the tuples agree.
+    """
+    return all(_join(G, x, c) == _join(G, c, x) for c in _conjugates(G, y))
 
 
 def _split(w: Word) -> tuple[tuple, tuple]:
@@ -458,10 +477,11 @@ def bounded_divisor_witness(
 ):
     """Search reduced words y of length <= max_len witnessing that x divides zero.
 
-    T1: [span(x), span(y)] = 1, checked on the finite conjugate-generator
-    sets.  T2: trivial intersection of spans, decided only when both spans
-    are recognized cyclic; otherwise InconclusiveError.  A None return is
-    bounded evidence of absence, not a proof.
+    T1: [span(x), span(y)] = 1, decided by testing x against every
+    conjugate of y (_commutes_with_orbit); a hit is certified with both
+    conjugate-generator sets.  T2: trivial intersection of spans, decided
+    only when both spans are recognized cyclic; otherwise InconclusiveError.
+    A None return is bounded evidence of absence, not a proof.
     """
     if variant not in ("t1", "t2"):
         raise WordError(f"unknown variant {variant!r}")
@@ -473,14 +493,11 @@ def bounded_divisor_witness(
         raise WordError("words from different contexts")
     G = ctx.group
     if variant == "t1":
-        x_gens = span_generators(x)
-        # only words sharing x's key can commute with x; a hit is still
-        # certified by the commutation test and the span check
+        # only words sharing x's key can commute with x; a hit is certified
+        # by the one-orbit test, whose c_1 term is the test x*y = y*x
         for y in _commute_bucket(ctx, _commute_key(x), max_len):
-            if _join(G, x.syllables, y.syllables) != _join(G, y.syllables, x.syllables):
-                continue
-            y_gens = span_generators(y)
-            if _spans_commute(x_gens, y_gens):
+            if _commutes_with_orbit(G, x.syllables, y.syllables):
+                x_gens, y_gens = span_generators(x), span_generators(y)
                 cert = {
                     "variant": "t1",
                     "x_generators": [str(g) for g in x_gens],

@@ -203,6 +203,15 @@ def naive_commute_bucket(ctx, key, max_len: int) -> tuple:
     return _naive_commute_index(ctx, max_len).get(key, ())
 
 
+def naive_conjugates(G: GroupTable, s: tuple):
+    """The reduced conjugates c_g * s * c_g^-1, g in index order, each
+    built with two seam joins."""
+    return (
+        fp._join(G, fp._join(G, (("g", g),), s), (("g", G.inverse(g)),)) if g != G.id else s
+        for g in range(G.order)
+    )
+
+
 def naive_span_generators(w) -> list:
     """Distinct conjugates c_g * w * c_g^-1 over every coefficient g, built
     with the public word operations and deduplicated by syllables."""

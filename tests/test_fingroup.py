@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -306,3 +308,45 @@ def test_missing_and_one_sided_inverses_raise():
         naive_inverses(m, 0)
     with pytest.raises(GroupError, match="^element 1 has no two-sided inverse$"):
         GroupTable(m, validate=False)
+
+
+def test_scalar_arithmetic_reads_the_table_exactly():
+    # every large-catalog table, and one built from a transposed (not
+    # C-contiguous) array: the opposite group of S4
+    S4 = groups()["S4"]
+    opposite = GroupTable(S4.mul.T)
+    assert not S4.mul.T.flags.c_contiguous
+    assert np.array_equal(opposite.mul, S4.mul.T)
+    rng = np.random.default_rng(0)
+    for name, G in [*groups().items(), ("S4 transposed", opposite)]:
+        mul, inv = G.mul, G.inv
+        assert mul.flags.c_contiguous, name
+        for view, array in zip(G._scalar, (mul, inv)):
+            # the view reads the table itself, not a copy
+            assert view.obj is array and np.shares_memory(np.asarray(view), array), name
+        n = G.order
+        xs = range(n) if n <= 120 else sorted({0, n - 1, *rng.choice(n, 40, replace=False).tolist()})
+        for a in xs:
+            assert type(G.inverse(a)) is int and G.inverse(a) == inv[a], name
+            order, p = 1, a
+            while p != G.id:
+                order, p = order + 1, mul[p, a]
+            assert type(G.element_order(a)) is int and G.element_order(a) == order, name
+            for k in (-3, 0, 1, 5):
+                expected = G.id
+                for _ in range(abs(k)):
+                    expected = mul[expected, a if k > 0 else inv[a]]
+                assert type(G.power(a, k)) is int and G.power(a, k) == expected, (name, a, k)
+            for b in xs:
+                # numpy-int indices read Python ints too
+                for x, y in ((a, b), (np.int64(a), np.int16(b))):
+                    got = (G.op(x, y), G.conj(x, y), G.commutator(x, y))
+                    assert [type(v) for v in got] == [int] * 3, name
+                    assert got == (
+                        mul[a, b],
+                        mul[mul[a, b], inv[a]],
+                        mul[mul[mul[a, b], inv[a]], inv[b]],
+                    ), (name, a, b)
+    # a table that has read through its views still pickles and copies
+    for H in (pickle.loads(pickle.dumps(opposite)), copy.deepcopy(opposite)):
+        assert np.array_equal(H.mul, opposite.mul) and H.op(1, 2) == opposite.op(1, 2)

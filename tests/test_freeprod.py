@@ -10,8 +10,9 @@ from groupspec.freeprod import (
     InconclusiveError,
     _commute_bucket,
     _commute_key,
+    _commutes_with_orbit,
+    _conjugates,
     _recognize_cyclic,
-    _spans_commute,
     _word_order,
     _words_upto,
     WordContext,
@@ -31,6 +32,7 @@ from groupspec.freeprod import (
 )
 from oracles import (
     naive_commute_bucket,
+    naive_conjugates,
     naive_divisor_witness,
     naive_recognize_cyclic,
     naive_span_generators,
@@ -216,14 +218,66 @@ def test_concat_matches_full_reduction(a_raw, b_raw):
     assert concat(a, b).syllables == reduce_syllables(CTX, a.syllables + b.syllables).syllables
 
 
-@given(st.lists(raw_words(), min_size=1, max_size=3), st.lists(raw_words(), max_size=3))
+def _spans_commute_pairwise(x, y):
+    """Every conjugate of x commutes with every conjugate of y."""
+    return all(
+        commutator(a, b).is_identity()
+        for a in naive_span_generators(x)
+        for b in naive_span_generators(y)
+    )
+
+
+@given(raw_words(), raw_words())
 @settings(max_examples=200, deadline=None)
-def test_spans_commute_is_the_commutator_test(xs_raw, ys_raw):
-    xs, ys = [_reduced(r) for r in xs_raw], [_reduced(r) for r in ys_raw]
-    assert _spans_commute(xs, ys) == all(commutator(a, b).is_identity() for a in xs for b in ys)
-    # random words seldom commute, so also try a pair that always does
-    x = xs[0]
-    assert _spans_commute([x], [power(x, 2), inverse(x)])
+def test_one_orbit_test_is_the_all_pairs_commutator_test(x_raw, y_raw):
+    x, y = _reduced(x_raw), _reduced(y_raw)
+    # random words seldom commute, so also try powers of x
+    for z in (y, power(x, 2), inverse(x)):
+        assert _commutes_with_orbit(S3, x.syllables, z.syllables) == _spans_commute_pairwise(x, z)
+
+
+@pytest.mark.parametrize("make", [lambda: S3, quaternion8], ids=["S3", "Q8"])
+def test_one_orbit_test_on_every_pair_sharing_a_key(make):
+    # words with different keys never commute, so these are all the pairs
+    # whose spans can commute
+    ctx = WordContext(make(), 1)
+    buckets = {}
+    for x in enumerate_words(ctx, 4):
+        buckets.setdefault(_commute_key(x), []).append(x)
+    hits = 0
+    for words in buckets.values():
+        for x in words:
+            for y in words:
+                got = _commutes_with_orbit(ctx.group, x.syllables, y.syllables)
+                assert got == _spans_commute_pairwise(x, y), (str(x), str(y))
+                hits += got
+    assert hits
+
+
+# Every word of length <= 5 in one variable and <= 3 in two, and the empty word.
+@pytest.mark.parametrize("variables,top", [(1, 5), (2, 3)])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cyclic(1), lambda: cyclic(2), lambda: cyclic(3), lambda: cyclic(4), lambda: S3, quaternion8],
+    ids=["Z1", "Z2", "Z3", "Z4", "S3", "Q8"],
+)
+def test_conjugates_match_two_join_oracle(make, variables, top):
+    ctx = WordContext(make(), variables)
+    G = ctx.group
+    for x in [ctx.identity(), *enumerate_words(ctx, top)]:
+        s = x.syllables
+        got = list(_conjugates(G, s))
+        assert got == list(naive_conjugates(G, s)), str(x)
+        if len(s) > 1 and s[0][0] == "g":
+            # g = a^-1 cancels the coefficient a on the left
+            assert got[G.inverse(s[0][1])][0] == s[1], str(x)
+        if len(s) > 1 and s[-1][0] == "g":
+            # g = b cancels the coefficient b on the right
+            assert got[s[-1][1]][-1] == s[-2], str(x)
+
+
+def test_span_generators_of_the_identity():
+    assert span_generators(CTX.identity()) == [CTX.identity()]
 
 
 @pytest.mark.parametrize("make", [lambda: S3, quaternion8], ids=["S3", "Q8"])
