@@ -315,14 +315,13 @@ def suite_prop3_2(name: str, obj: GGroup) -> Iterator[Verdict]:
     if not obj.structure.is_surjective() or obj.base is not obj.carrier:
         return
     G = obj.carrier
+    # quotient check: regular functions at a single point form G itself
+    V = VarietySet(G, 1, (), ((1 % G.order,),))
     for variant in VARIANTS:
         # value level: the point-ideal implication reduces to integrality
         if not obj.is_integral(variant):
             yield f"{name},{variant}", "skip", "G not integral"
             continue
-        # quotient check: regular functions at a single point form G itself
-        x = 1 % G.order if G.order > 1 else 0
-        V = VarietySet(G, 1, (), ((x,),))
         O = coordinate_group(V).as_ggroup()
         ok = len(O.carrier) == G.order and O.is_integral(variant)
         yield _verdict(f"{name},{variant}", ok, f"single-point function group order {len(O.carrier)}")
@@ -694,7 +693,7 @@ def run_suite(suite: str, cat: str = "small") -> list[dict]:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     source, check = SUITES[suite]
     # sheaf-axioms records still carry the prop4.1 label (and so a repro
-    # that does not rerun them) until ROADMAP item 8 relabels them
+    # that does not rerun them) until ROADMAP item 9 relabels them
     label = "prop4.1" if suite == "sheaf-axioms" else suite
     return [_rec(label, *verdict, cat) for instance in source(cat) for verdict in check(*instance)]
 

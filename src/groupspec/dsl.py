@@ -31,7 +31,7 @@ from .fingroup import (
 from .freeprod import Word, WordContext, WordError, parse_word
 from .gobject import GGroup, GMorphism, identity_object
 from .spectrum import Spectrum, spectrum
-from .variety import coordinate_group, variety_of
+from .variety import variety_of
 
 __all__ = ["DslError", "Program", "parse_program", "Interpreter", "run_program"]
 
@@ -560,9 +560,7 @@ class Interpreter:
         elif isinstance(v, VarietySet):
             if fmt != "json":
                 raise DslError("varieties export as json only", st.lineno, 1)
-            payload = export_mod.to_json_bytes(
-                export_mod.variety_to_dict(v, coordinate_group(v))
-            )
+            payload = export_mod.to_json_bytes(export_mod.variety_to_dict(v))
         elif isinstance(v, AffineScheme):
             if fmt != "json":
                 raise DslError("schemes export as json only", st.lineno, 1)

@@ -85,19 +85,17 @@ def spectrum_to_dot(spec: Spectrum) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def variety_to_dict(V, FG=None) -> dict:
-    out = {
+def variety_to_dict(V) -> dict:
+    """The variety, its function group's order and a word for each function."""
+    FG = V.functions
+    return {
         "group_order": V.group.order,
         "nvars": V.nvars,
         "generators": [str(w) for w in V.generators],
         "points": [list(p) for p in V.points],
+        "function_group_order": len(FG),
+        "witnesses": [[row, str(w)] for row, w in zip(FG.rows.tolist(), FG.witnesses)],
     }
-    if FG is not None:
-        out["function_group_order"] = len(FG)
-        out["witnesses"] = sorted(
-            [list(vals), str(FG.witness(vals))] for vals in FG.elements
-        )
-    return out
 
 
 def scheme_to_dict(scheme) -> dict:

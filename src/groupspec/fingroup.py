@@ -30,6 +30,7 @@ __all__ = [
     "quotient",
     "is_nilpotent",
     "normal_subgroups",
+    "RowGroup",
     "pointwise_table",
     "is_simple",
     "cyclic",
@@ -619,6 +620,44 @@ def _row_index(rows: np.ndarray):
         return np.where(ordered[pos] == want, order[pos], -1)
 
     return find
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
+
+
+class RowGroup:
+    """A finite group stored as its elements' rows: ``rows`` holds one
+    distinct int64 row per element, in lexicographic order, and nothing
+    else.  One lookup, ``locate``, finds rows; a subclass hands it to
+    ``pointwise_table`` for its Cayley table and keeps that table's object
+    in ``_ggroup``."""
+
+    _error, _missing = GroupError, "row does not belong to this group"
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self._ggroup = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def locate(self):
+        """The lookup from an array of rows to the element index of each,
+        -1 where a row is no element (``_row_index``)."""
+        return _row_index(self.rows)
+
+    def _indices(self, rows: np.ndarray) -> np.ndarray:
+        """locate, where every row must be an element."""
+        idx = self.locate(rows)
+        if (idx < 0).any():
+            raise self._error(self._missing)
+        return idx
+
+    def index_of(self, row: Sequence[int]) -> int:
+        return int(self._indices(np.array([row], dtype=np.int64))[0])
 
 
 def pointwise_table(

@@ -23,9 +23,10 @@ from .fingroup import (
     GroupTable,
     Homomorphism,
     QuotientGroup,
+    RowGroup,
     Subgroup,
-    _row_index,
     _row_keys,
+    _sorted_rows,
     pointwise_table,
     quotient,
     subgroup_product,
@@ -87,11 +88,6 @@ def _positions(U: frozenset) -> dict:
     return {p: i for i, p in enumerate(sorted(U))}
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows in lexicographic order."""
-    return rows[np.lexsort(rows.T[::-1])] if rows.shape[1] else rows
-
-
 def _natural_join(left: tuple, right: tuple) -> tuple:
     """The natural join of two relations (points, rows array) on their
     shared points: each left row, in order, extended by every matching right
@@ -121,45 +117,24 @@ def _joined_rows(relations: Iterable[tuple], pts: Sequence) -> np.ndarray:
     return _sorted_rows(rows[:, [points.index(p) for p in pts]])
 
 
-class SectionGroup:
+class SectionGroup(RowGroup):
     """Sections over a fixed open, under the pointwise product.
 
     ``rows`` is the group: one row of coset indices per section, columns in
-    sorted point order.  A scheme builds its rows in lexicographic order.
+    sorted point order.
     """
 
+    _error, _missing = SheafError, "section does not belong to this group"
+
     def __init__(self, scheme, open_set: frozenset, rows: np.ndarray):
+        super().__init__(rows)
         self.scheme = scheme
         self.open_set = frozenset(open_set)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self._ggroup: Optional[GGroup] = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     @cached_property
     def elements(self) -> tuple[SchemeSection, ...]:
         """The sections as objects, for callers that take them one by one."""
         return tuple(SchemeSection(self.open_set, row) for row in map(tuple, self.rows.tolist()))
-
-    @cached_property
-    def _find(self):
-        """The group's one row lookup (``fingroup._row_index``)."""
-        return _row_index(self.rows)
-
-    def locate(self, rows: np.ndarray) -> np.ndarray:
-        """The element index of each given row, -1 where a row is no section."""
-        return self._find(rows)
-
-    def _indices(self, rows: np.ndarray) -> np.ndarray:
-        """locate, where every row must be a section."""
-        idx = self.locate(rows)
-        if (idx < 0).any():
-            raise SheafError("section does not belong to this group")
-        return idx
-
-    def index_of(self, s: SchemeSection) -> int:
-        return int(self._indices(np.array([s.values], dtype=np.int64))[0])
 
     def as_ggroup(self) -> GGroup:
         """Materialize the multiplication table; only for small groups."""
@@ -171,7 +146,7 @@ class SectionGroup:
                 )
             factors = [self.scheme.point_quotient(p).table for p in sorted(self.open_set)]
             try:
-                mul = pointwise_table(factors, self.rows, self._find)
+                mul = pointwise_table(factors, self.rows, self.locate)
             except GroupError:
                 raise SheafError("product of sections is not a section") from None
             table = GroupTable(mul, name=f"O({len(self.open_set)}pts)", validate=False)
@@ -444,7 +419,7 @@ class SchemeMorphism:
         W = self.preimage(s.open_set)
         row = self._pull(np.array([s.values], dtype=np.int64), s.open_set)
         GW = self.source.section_group(W)
-        return GW.elements[GW.index_of(SchemeSection(W, tuple(row[0].tolist())))]
+        return GW.elements[GW.index_of(row[0])]
 
     def verify(self) -> dict:
         """Continuity, pullbacks landing in sections, and localness, each on

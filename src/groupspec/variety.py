@@ -9,7 +9,8 @@ through the finite function-group quotient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -17,10 +18,10 @@ import numpy as np
 from .fingroup import (
     GroupTable,
     Homomorphism,
+    RowGroup,
     Subgroup,
     _check_order,
-    _row_index,
-    _row_keys,
+    _sorted_rows,
     pointwise_table,
 )
 from .freeprod import Word, WordContext, concat, enumerate_words, evaluate, inverse
@@ -41,6 +42,10 @@ __all__ = [
 DEFAULT_PROBE_LEN = 3
 # the most elements a coordinate-group closure may reach
 CLOSURE_CAP = 20000
+# the most points of G^n that variety_of enumerates: S5^3 (1,728,000) is built
+POINT_CAP = 2 ** 22
+# the most products one gather of the witness search holds
+GATHER_CAP = 2 ** 18
 
 
 class VarietyError(ValueError):
@@ -65,6 +70,30 @@ class VarietySet:
     def __contains__(self, coords) -> bool:
         return tuple(coords) in set(self.points)
 
+    @cached_property
+    def functions(self) -> "FunctionGroup":
+        """The regular functions, closed once (``coordinate_group``) by
+        Dimino's coset walk, as in ``GroupTable._close``: the constants K are
+        a copy of G, and the group is the union of the right cosets K*y
+        reached from y = id by y*s, s a constant of ``G.generators`` or a
+        coordinate.  A coset is kept by its row whose first value is G.id,
+        and K*y is one gather ``G.mul[:, y]``."""
+        G, width = self.group, len(self.points)
+        if not width:
+            return FunctionGroup(self, np.zeros((1, 0), dtype=np.int64))
+        gens = _generator_rows(self, G.generators)
+        reps = [np.full(width, G.id, dtype=G.mul.dtype)]
+        seen = {reps[0].tobytes()}  # a row's bytes are its key
+        for r in reps:  # grows while walked
+            if len(reps) * G.order > CLOSURE_CAP:
+                raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
+            prods = G.mul[r, gens]
+            for y in G.mul[G.inv[prods[:, :1]], prods]:
+                if y.tobytes() not in seen:
+                    seen.add(y.tobytes())
+                    reps.append(y)
+        return FunctionGroup(self, _sorted_rows(G.mul[:, np.array(reps)].reshape(-1, width)))
+
 
 def _id_structure(G: GroupTable) -> Homomorphism:
     return Homomorphism.identity(G)
@@ -74,6 +103,9 @@ def variety_of(G: GroupTable, n: int, gens: Iterable[Word]) -> VarietySet:
     """Exhaustive zero-set filter of G^n, points in lexicographic order."""
     if n < 0:
         raise VarietyError(f"variety_of(G, n) needs n >= 0, got {n}")
+    # |G|^n points, and n coordinates each, are compared without a huge power
+    if max(G.order ** min(n, POINT_CAP.bit_length()), n) > POINT_CAP:
+        raise VarietyError(f"{G.name}^{n} is too large to enumerate: the point cap is {POINT_CAP}")
     gens = tuple(gens)
     for w in gens:
         if w.context.group is not G or w.context.variable_count != n:
@@ -86,93 +118,76 @@ def variety_of(G: GroupTable, n: int, gens: Iterable[Word]) -> VarietySet:
     return VarietySet(G, n, gens, tuple(pts))
 
 
-@dataclass(frozen=True)
-class FunctionGroup:
-    """Regular functions on a variety, as value tuples with witness words.
+def _generator_rows(V: VarietySet, constants: Sequence[int] = ()) -> np.ndarray:
+    """The rows of the given constant functions, then of the n coordinates."""
+    pts = np.array(V.points, dtype=np.int64).reshape(len(V.points), V.nvars)
+    return np.vstack([np.array(constants, dtype=np.int64)[:, None].repeat(len(pts), axis=1), pts.T])
 
-    The group law is the pointwise product; the group is finite because it
-    embeds into the |V|-th power of G.
+
+class FunctionGroup(RowGroup):
+    """Regular functions on a variety under the pointwise product.
+
+    ``rows`` is the group: one row of values per function, columns in the
+    variety's point order, rows in lexicographic order.  It is finite
+    because it embeds into the |V|-th power of G.
     """
 
-    variety: VarietySet
-    elements: tuple[tuple[int, ...], ...]
-    witnesses: dict = field(compare=False, repr=False)
+    def __init__(self, variety: VarietySet, rows):
+        super().__init__(rows)
+        self.variety = variety
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def witness(self, values: tuple[int, ...]) -> Word:
-        return self.witnesses[values]
-
-    def index_of(self, values: tuple[int, ...]) -> int:
-        return self.elements.index(values)
-
-    def constant(self, g: int) -> tuple[int, ...]:
-        return tuple(g for _ in self.variety.points)
-
-    def coordinate(self, i: int) -> tuple[int, ...]:
-        return tuple(p[i - 1] for p in self.variety.points)
+    @cached_property
+    def witnesses(self) -> tuple[Word, ...]:
+        """A word for each function, in row order, for export: breadth first
+        from all |G| constants and the coordinates (the shorter word where
+        two of them agree), a function takes the word of its first product
+        in (frontier, generator) order, the frontier's word times the
+        generator's.  A gather holds at most GATHER_CAP products."""
+        V = self.variety
+        G, ctx, width = V.group, V.context(), len(V.points)
+        if not width:
+            return (ctx.identity(),)
+        gens = _generator_rows(V, range(G.order))
+        gen_words = [ctx.constant(g) for g in range(G.order)]
+        gen_words += [ctx.letter(i) for i in range(1, V.nvars + 1)]
+        words: list[Optional[Word]] = [None] * len(self)
+        first = self._indices(gens).tolist()
+        for x, w in zip(first, gen_words):
+            if words[x] is None or w.length() < words[x].length():
+                words[x] = w
+        queue = list(dict.fromkeys(first))  # the search's levels, each in the order reached
+        known = np.array([w is not None for w in words])
+        lo, step = 0, max(1, GATHER_CAP // (len(gens) * width))  # queue rows per gather
+        while lo < len(queue):
+            block = queue[lo : lo + step]
+            lo += len(block)
+            prods = G.mul[self.rows[block][:, None, :], gens[None, :, :]]
+            found = self._indices(prods.reshape(-1, width))
+            fresh = np.flatnonzero(~known[found])
+            for f, x in zip(fresh.tolist(), found[fresh].tolist()):
+                if words[x] is None:
+                    words[x] = concat(words[block[f // len(gens)]], gen_words[f % len(gens)])
+                    queue.append(x)
+            known[found[fresh]] = True
+        return tuple(words)
 
     def as_ggroup(self) -> GGroup:
         """The function group as an object over G via the constants."""
-        G = self.variety.group
-        name = f"O({G.name}^{self.variety.nvars})"
-        _check_order(len(self.elements), name)  # before any table is built
-        index = {v: i for i, v in enumerate(self.elements)}
-        mul = pointwise_table([G] * len(self.variety.points), self.elements)
-        table = GroupTable(mul, name=name, validate=False)
-        structure = Homomorphism(G, table, [index[self.constant(g)] for g in range(G.order)])
-        return GGroup(G, table, structure)
+        if self._ggroup is None:
+            G = self.variety.group
+            name = f"O({G.name}^{self.variety.nvars})"
+            _check_order(len(self), name)  # before any table is built
+            mul = pointwise_table([G] * len(self.variety.points), self.rows, self.locate)
+            table = GroupTable(mul, name=name, validate=False)
+            constants = self._indices(_generator_rows(self.variety, range(G.order))[: G.order])
+            self._ggroup = GGroup(G, table, Homomorphism(G, table, constants))
+        return self._ggroup
 
 
 def coordinate_group(V: VarietySet) -> FunctionGroup:
-    """Pointwise-product closure of the constants and coordinate functions.
-
-    Breadth first from the generators.  A frontier block's products with
-    every generator come from one gather on G's table; a product new to the
-    closure gets the witness of its first occurrence in (frontier,
-    generator) order, the frontier's word times the generator's.
-    """
-    G = V.group
-    ctx = V.context()
-    if not V.points:
-        return FunctionGroup(V, ((),), {(): ctx.identity()})
-    width = len(V.points)
-    gens = np.vstack([
-        np.repeat(np.arange(G.order)[:, None], width, axis=1),
-        np.array(V.points, dtype=np.int64).T,
-    ]).astype(G.mul.dtype)
-    gen_words = [ctx.constant(g) for g in range(G.order)]
-    gen_words += [ctx.letter(i) for i in range(1, V.nvars + 1)]
-    witnesses: dict[tuple[int, ...], Word] = {}
-    for vals, w in zip(map(tuple, gens.tolist()), gen_words):
-        if vals not in witnesses or w.length() < witnesses[vals].length():
-            witnesses[vals] = w
-    closure = np.array(list(witnesses), dtype=G.mul.dtype)
-    frontier, words = closure, list(witnesses.values())
-    step = max(1, 2 ** 18 // (len(gens) * width))  # frontier rows per gather
-    while len(frontier):
-        known = _row_index(closure)
-        new, new_words = [], []
-        for lo in range(0, len(frontier), step):
-            prods = G.mul[frontier[lo : lo + step, None, :], gens[None, :, :]].reshape(-1, width)
-            _, first = np.unique(_row_keys(prods), return_index=True)
-            first.sort()
-            fresh = first[known(prods[first]) < 0]
-            for f, vals in zip(fresh.tolist(), map(tuple, prods[fresh].tolist())):
-                if vals in witnesses:  # met in an earlier block of this frontier
-                    continue
-                i, j = divmod(f, len(gens))
-                witnesses[vals] = w = concat(words[lo + i], gen_words[j])
-                new.append(vals)
-                new_words.append(w)
-                if len(witnesses) > CLOSURE_CAP:
-                    raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
-        frontier = np.array(new, dtype=G.mul.dtype).reshape(len(new), width)
-        words = new_words
-        closure = np.concatenate([closure, frontier])
-    elements = tuple(sorted(witnesses))
-    return FunctionGroup(V, elements, witnesses)
+    """The regular functions on V, the pointwise-product closure of the
+    constants and coordinates (``VarietySet.functions``, built once)."""
+    return V.functions
 
 
 # -- maximality probes -----------------------------------------------------
@@ -259,32 +274,25 @@ def maximality_probe(
 
 
 def _conjugate_product_path(G: GroupTable, v: int, goal: int):
-    """BFS expressing goal as a product of conjugates of v or v^-1."""
+    """BFS expressing goal as a product of conjugates of v or v^-1: the
+    (conjugator, sign) list of the first product that reaches it."""
     steps = []
     for u in range(G.order):
         for sgn in (1, -1):
             w = G.conj(u, v if sgn > 0 else G.inverse(v))
             steps.append((w, (u, sgn)))
-    prev: dict[int, tuple[int, tuple[int, int]]] = {G.id: None}
+    paths: dict[int, list[tuple[int, int]]] = {G.id: []}
     frontier = [G.id]
-    while frontier and goal not in prev:
+    while frontier and goal not in paths:
         nxt = []
         for s in frontier:
             for w, tag in steps:
                 t = G.op(s, w)
-                if t not in prev:
-                    prev[t] = (s, tag)
+                if t not in paths:
+                    paths[t] = paths[s] + [tag]
                     nxt.append(t)
         frontier = nxt
-    if goal not in prev:
-        return None
-    path = []
-    cur = goal
-    while prev[cur] is not None:
-        s, tag = prev[cur]
-        path.append(tag)
-        cur = s
-    return list(reversed(path))
+    return paths.get(goal)
 
 
 # -- topology and Hom correspondence ---------------------------------------
@@ -350,60 +358,40 @@ def hom_variety_correspondence(
     # an endomorphism correspondence (Vp is V) builds each once
     space_V, FG = space(V), coordinate_group(V)
     space_Vp, FGp = (space_V, FG) if Vp is V else (space(Vp), coordinate_group(Vp))
-    fg_set = set(FG.elements)
+    at = {q: i for i, q in enumerate(Vp.points)}
+
+    def pulled(images) -> np.ndarray:
+        """The index in FG of each function of FGp composed with the map."""
+        return FG.locate(FGp.rows[:, [at[q] for q in images]])
 
     # variety morphisms: continuous maps pulling regular functions back to
     # regular functions
-    var_morphisms = []
+    var_morphisms = {}
     for images in itertools.product(Vp.points, repeat=len(V.points)):
         phi = dict(zip(V.points, images))
-        if not space_V.is_continuous(phi, space_Vp):
-            continue
-        ok = True
-        for f in FGp.elements:
-            fval = {q: f[Vp.points.index(q)] for q in Vp.points}
-            pulled = tuple(fval[phi[p]] for p in V.points)
-            if pulled not in fg_set:
-                ok = False
-                break
-        if ok:
-            var_morphisms.append(images)
+        if space_V.is_continuous(phi, space_Vp) and (pulled(images) >= 0).all():
+            var_morphisms[images] = len(var_morphisms)
 
-    A = FGp.as_ggroup()
-    B = A if FG is FGp else FG.as_ggroup()
-    gms = enumerate_g_morphisms(A, B)
+    gms = enumerate_g_morphisms(FGp.as_ggroup(), FG.as_ggroup())
 
-    # b: function-group morphism -> geometric map
+    # b: function-group morphism -> geometric map, the images of the
+    # coordinates read at each point of V
+    coords = FGp._indices(_generator_rows(Vp))
     b_table = {}
     for mi, m in enumerate(gms):
-        coords_imgs = []
-        for p_idx, p in enumerate(V.points):
-            img = []
-            for i in range(1, Vp.nvars + 1):
-                xi_idx = FGp.index_of(FGp.coordinate(i))
-                fi = FG.elements[m(xi_idx)]
-                img.append(fi[p_idx])
-            coords_imgs.append(tuple(img))
-        images = tuple(coords_imgs)
-        if any(q not in Vp.points for q in images):
+        values = FG.rows[np.asarray(m.map.image)[coords]]
+        images = tuple(map(tuple, values.T.tolist()))
+        if any(q not in at for q in images):
             raise VarietyError("b(psi) left the target variety")
         if images not in var_morphisms:
             raise VarietyError("b(psi) is not a variety morphism")
-        b_table[mi] = var_morphisms.index(images)
+        b_table[mi] = var_morphisms[images]
 
     # a: geometric map -> function-group morphism via composition
+    by_image = {tuple(m.map.image): mi for mi, m in enumerate(gms)}
     a_table = {}
     for vi, images in enumerate(var_morphisms):
-        img_map = []
-        for f_idx, f in enumerate(FGp.elements):
-            fval = {q: f[Vp.points.index(q)] for q in Vp.points}
-            pulled = tuple(fval[images[i]] for i in range(len(V.points)))
-            img_map.append(FG.index_of(pulled))
-        match = None
-        for mi, m in enumerate(gms):
-            if list(m.map.image) == img_map:
-                match = mi
-                break
+        match = by_image.get(tuple(pulled(images).tolist()))
         if match is None:
             raise VarietyError("a(phi) is not among the enumerated morphisms")
         a_table[vi] = match

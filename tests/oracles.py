@@ -22,9 +22,9 @@ from groupspec.fingroup import (
     _row_index,
     normal_subgroups,
 )
-from groupspec.sheaf import GluedScheme, SchemeSection, SheafError
+from groupspec.sheaf import GluedScheme, SheafError
 from groupspec.spectrum import radical, vanishing_set
-from groupspec.variety import CLOSURE_CAP, FunctionGroup, VarietyError
+from groupspec.variety import CLOSURE_CAP, VarietyError
 
 
 def _all(G: GroupTable) -> np.ndarray:
@@ -429,22 +429,24 @@ def naive_function_table(F) -> list[list[int]]:
     """Multiplication table of a function group: pointwise products of value
     tuples, looked up in its element list."""
     G = F.variety.group
-    where = {v: i for i, v in enumerate(F.elements)}
+    elements = [tuple(row) for row in F.rows.tolist()]
+    where = {v: i for i, v in enumerate(elements)}
     return [
-        [where[tuple(int(G.mul[a, b]) for a, b in zip(s, t))] for t in F.elements]
-        for s in F.elements
+        [where[tuple(int(G.mul[a, b]) for a, b in zip(s, t))] for t in elements]
+        for s in elements
     ]
 
 
-def naive_coordinate_group(V) -> FunctionGroup:
+def naive_coordinate_group(V) -> tuple:
     """The function group of a variety by a breadth-first closure of the
     constants and coordinates, one pointwise product at a time; a new value
     tuple keeps the first word that reached it (frontier, then generator
-    order), the frontier's word times the generator's."""
+    order), the frontier's word times the generator's.  Returns the sorted
+    value tuples and the dict of their words."""
     G = V.group
     ctx = V.context()
     if not V.points:
-        return FunctionGroup(V, ((),), {(): ctx.identity()})
+        return ((),), {(): ctx.identity()}
     gens = [(tuple(g for _ in V.points), ctx.constant(g)) for g in range(G.order)]
     gens += [(tuple(p[i - 1] for p in V.points), ctx.letter(i)) for i in range(1, V.nvars + 1)]
     witnesses = {}
@@ -463,7 +465,7 @@ def naive_coordinate_group(V) -> FunctionGroup:
                     if len(witnesses) > CLOSURE_CAP:
                         raise VarietyError(f"function-group closure exceeded cap {CLOSURE_CAP}")
         frontier = new
-    return FunctionGroup(V, tuple(sorted(witnesses)), witnesses)
+    return tuple(sorted(witnesses)), witnesses
 
 
 def naive_greedy_generators(G: GroupTable) -> list[int]:
@@ -719,7 +721,7 @@ def naive_morphism_check(source, target, point_map: dict, push) -> None:
                 if down != tuple(t[i] for i in keep):
                     raise SheafError("restriction square does not commute")
         for t in pulled:
-            GW.index_of(SchemeSection(pre(U), t))
+            GW.index_of(t)
     local = True
     for p, q in point_map.items():
         mo = target.minimal_open(q)

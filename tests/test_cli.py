@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,3 +300,12 @@ def test_run_unknown_variant_on_the_trivial_group_exit_2(statement, tmp_path):
     assert code == 2
     _assert_one_line(err)
     assert "unknown variant 'bogus'" in err
+
+
+def test_run_variety_past_the_point_cap_exit_2(tmp_path):
+    start = time.perf_counter()
+    code, err = _run_program_process("group S5 = sym(5)\nvariety S5 4\n", tmp_path)
+    assert time.perf_counter() - start < 30  # refused before any point is listed
+    assert code == 2
+    _assert_one_line(err)
+    assert "S5^4 is too large to enumerate: the point cap is 4194304" in err

@@ -237,7 +237,7 @@ def test_function_group_over_the_cap_refuses_before_building(request):
     from groupspec.variety import FunctionGroup, variety_of
 
     V = variety_of(cyclic(2), 1, [])
-    F = FunctionGroup(V, tuple((i % 2,) for i in range(TABLE_CAP + 1)), {})
+    F = FunctionGroup(V, [(i % 2,) for i in range(TABLE_CAP + 1)])
     request.getfixturevalue("no_building")
     with pytest.raises(TableCapError, match=f"O\\(Z2\\^1\\): order {TABLE_CAP + 1} exceeds"):
         F.as_ggroup()

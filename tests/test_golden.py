@@ -106,3 +106,45 @@ def test_dsl_transcript_is_unchanged():
     interp.run(parse_program(DSL_PROGRAM))
     transcript = "\n".join(interp.outputs) + "\n"
     assert hashlib.sha256(transcript.encode()).hexdigest() == DSL_SHA256
+
+
+# `export V --format json` of six varieties: the witness words of every
+# regular function are pinned with the elements.  The single point of A7
+# walks its witness search in more than one gather block.
+VARIETY_PROGRAM = """\
+group S3 = sym(3)
+group Z4 = cyclic(4)
+group A4 = alt(4)
+group Z2 = cyclic(2)
+group D5 = dihedral(5)
+group A7 = perm 7: (1 2 3 4 5 6 7); (1 4)(2 3)
+word sq over (S3, 1) = X1^2
+word comm over (Z4, 2) = X1 * X2 * X1^-1 * X2^-1
+word sqA over (A4, 1) = X1^2
+word sqD over (D5, 1) = X1^2
+word one over (A7, 1) = X1
+variety S3 1 sq as V1
+variety Z4 2 comm as V2
+variety S3 1 as V3
+variety A4 1 sqA as V4
+variety Z2 3 as V5
+variety D5 1 sqD as V6
+variety A7 1 one as V7
+""" + "".join(f"export V{i} --format json\n" for i in range(1, 8))
+
+VARIETY_SHA256 = [
+    "967075ffb23388d0346298e03f5dbe47c181ffcf55966ff502447878f4793747",
+    "474bfb5508be4cd46857d95372ed35cfc110104ecae59e10ae0dc48b68091c8e",
+    "400d1310fa122337891c869f4d97ccc69b518b93b07175257dd5855d233801dd",
+    "07a8941676bc0e0dd2907166d0af8ec1913c2adb818fe5f8353e22e5edad73e9",
+    "030f62e7337c8d6890581a0fd9094b38c8270ef997210643380baa105d7ace14",
+    "29351a9374da592a3f326b633b64a563c49d7f76cfd02181eb0b9b5b797e701a",
+    "fb4c8c7785b3b4e7d773f1da4f2c9436669dae75bd1c4eb358567c4c33a5ae92",
+]
+
+
+def test_variety_exports_are_unchanged():
+    interp = Interpreter()
+    interp.run(parse_program(VARIETY_PROGRAM))
+    exports = interp.outputs[-len(VARIETY_SHA256):]
+    assert [hashlib.sha256(e.encode()).hexdigest() for e in exports] == VARIETY_SHA256

@@ -10,6 +10,9 @@ exists to re-export, so the unused-import test skips it.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from functools import cached_property
 from pathlib import Path
@@ -86,3 +89,18 @@ def test_no_borrowed_methods(path):
         if not fn.__qualname__.startswith(f"{cls.__qualname__}.")
     ]
     assert not borrowed, f"{path.name}: borrowed functions {borrowed}"
+
+
+def test_check_all_leaves_numpy_ma_unimported(tmp_path):
+    """``numpy.ma`` costs start-up time and is imported lazily by some numpy
+    calls (``np.unique(..., axis=0)``); a full audit needs none of them."""
+    code = (
+        "import sys\n"
+        "from groupspec.cli import main\n"
+        f"main(['check', 'all', '--catalog', 'large', '--out', {str(tmp_path / 'all.txt')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -87,10 +87,9 @@ def test_audit_tables_match_the_per_row_builder(monkeypatch):
     for G in built.values():
         if isinstance(G, SectionGroup):
             factors = [G.scheme.point_quotient(p).table for p in sorted(G.open_set)]
-            rows = G.rows
         else:
-            factors, rows = [G.variety.group] * len(G.variety.points), G.elements
-        got, want = G.as_ggroup().carrier.mul, per_row_pointwise_table(factors, rows)
+            factors = [G.variety.group] * len(G.variety.points)
+        got, want = G.as_ggroup().carrier.mul, per_row_pointwise_table(factors, G.rows)
         assert np.array_equal(got, want) and got.dtype == want.dtype
         kinds[type(G)] += 1
     assert kinds[SectionGroup] > 20 and kinds[FunctionGroup] > 5
@@ -119,4 +118,4 @@ def test_products_outside_the_rows_raise():
         part.as_ggroup()
     F = coordinate_group(variety_of(Z3, 1, []))
     with pytest.raises(GroupError, match="not a row"):
-        FunctionGroup(F.variety, F.elements[:2], F.witnesses).as_ggroup()
+        FunctionGroup(F.variety, F.rows[:2]).as_ggroup()

@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from groupspec.catalog import small_catalog
-from groupspec.fingroup import Subgroup, alternating, cyclic, normal_subgroups, symmetric
+from groupspec.fingroup import GroupError, Subgroup, alternating, cyclic, normal_subgroups, symmetric
 from groupspec.freeprod import WordContext, evaluate, parse_word
 from groupspec.variety import (
     VarietyError,
@@ -60,8 +61,14 @@ def test_coordinate_group_of_line():
     FG = coordinate_group(V)
     # constants and the coordinate generate all four value maps on 2 points
     assert len(FG) == 4
-    assert FG.constant(1) in FG.elements
-    assert FG.coordinate(1) in FG.elements
+    assert FG.rows.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert FG.index_of((1, 1)) == 3  # the constant 1
+    assert FG.index_of((0, 1)) == 1  # the coordinate X1
+    assert FG.locate(np.array([[1, 0], [2, 0], [0, 0]])).tolist() == [2, -1, 0]
+    with pytest.raises(GroupError, match="row does not belong to this group"):
+        FG.index_of((0, 2))
+    assert coordinate_group(V) is FG  # closed once per variety
+    assert FG.as_ggroup() is FG.as_ggroup()
 
 
 def test_coordinate_group_witnesses_evaluate_back():
@@ -69,9 +76,8 @@ def test_coordinate_group_witnesses_evaluate_back():
 
     V = variety_of(Z2, 1, [])
     FG = coordinate_group(V)
-    for vals in FG.elements:
-        w = FG.witness(vals)
-        assert tuple(evaluate(w, _id_structure(Z2), p) for p in V.points) == vals
+    for vals, w in zip(FG.rows.tolist(), FG.witnesses):
+        assert [evaluate(w, _id_structure(Z2), p) for p in V.points] == vals
 
 
 def test_coordinate_group_of_point_is_carrier():
@@ -149,11 +155,25 @@ def test_hom_correspondence_line_to_point():
     assert len(corr.g_morphisms) == 1
 
 
+def test_hom_correspondence_keeps_only_maps_that_pull_functions_back():
+    """On the square roots of 1 in S3 every self-map is continuous, but only
+    40 of the 256 pull every regular function back to a regular one."""
+    V = variety_of(S3, 1, [parse_word(_ctx(S3, 1), "X1^2")])
+    elements, _ = naive_coordinate_group(V)
+    regular = set(elements)
+    want = [
+        images for images in itertools.product(V.points, repeat=len(V.points))
+        if all(tuple(f[V.points.index(q)] for q in images) in regular for f in elements)
+    ]
+    corr = hom_variety_correspondence(V, V, "t2")
+    assert list(corr.variety_morphisms) == want and len(want) == 40
+    assert len(corr.g_morphisms) == 40
+
+
 def _same_function_group(F, want):
-    assert F.elements == want.elements
-    assert {v: w.syllables for v, w in F.witnesses.items()} == {
-        v: w.syllables for v, w in want.witnesses.items()
-    }
+    elements, witnesses = want
+    assert list(map(tuple, F.rows.tolist())) == list(elements)
+    assert [w.syllables for w in F.witnesses] == [witnesses[v].syllables for v in elements]
 
 
 def test_coordinate_group_matches_naive_closure_on_audit_varieties(monkeypatch):
@@ -198,4 +218,53 @@ def test_coordinate_group_keeps_the_closure_cap(monkeypatch):
     assert len(coordinate_group(line)) == 9
     monkeypatch.setattr(variety, "CLOSURE_CAP", 8)
     with pytest.raises(VarietyError, match="function-group closure exceeded cap 8"):
-        coordinate_group(line)
+        coordinate_group(variety_of(cyclic(3), 1, []))  # a fresh one: line keeps its group
+    monkeypatch.setattr(variety, "CLOSURE_CAP", 2)  # below the constants alone
+    with pytest.raises(VarietyError, match="function-group closure exceeded cap 2"):
+        coordinate_group(VarietySet(cyclic(3), 1, (), ((0,),)))
+
+
+def test_coordinate_group_of_the_trivial_group():
+    T = cyclic(1)
+    for n in (0, 2):
+        V = variety_of(T, n, [])
+        assert V.points == ((0,) * n,)
+        F = coordinate_group(V)
+        assert F.rows.tolist() == [[0]]
+        _same_function_group(F, naive_coordinate_group(V))
+
+
+def test_coordinate_group_with_constant_coordinates():
+    """Coordinates that are constants add no coset to the constants."""
+    for V in (VarietySet(S3, 2, (), ((1, 2),)), variety_of(A5, 1, [parse_word(_ctx(A5, 1), "X1")])):
+        F = coordinate_group(V)
+        assert F.rows.tolist() == [[g] for g in range(V.group.order)]
+        _same_function_group(F, naive_coordinate_group(V))
+
+
+def test_witness_search_across_gather_blocks(monkeypatch):
+    """Gathers of a few products each walk every frontier in many blocks and
+    must give the same words as the one-product-at-a-time closure."""
+    from groupspec import variety
+
+    monkeypatch.setattr(variety, "GATHER_CAP", 40)
+    square = parse_word(_ctx(S3, 1), "X1^2")
+    for V in (variety_of(S3, 1, []), variety_of(S3, 1, [square]), variety_of(cyclic(4), 2, []),
+              VarietySet(A5, 1, (), ((1,), (7,)))):
+        _same_function_group(coordinate_group(V), naive_coordinate_group(V))
+
+
+def test_single_points_of_large_groups_close_to_the_carrier():
+    for G in (alternating(7), symmetric(7)):
+        F = coordinate_group(VarietySet(G, 1, (), ((1,),)))
+        assert np.array_equal(F.rows, np.arange(G.order)[:, None])
+
+
+def test_variety_of_refuses_past_the_point_cap(monkeypatch):
+    from groupspec import variety
+
+    monkeypatch.setattr(variety, "POINT_CAP", 8)
+    assert len(variety_of(Z2, 3, [])) == 8
+    for G, n in ((Z2, 4), (S3, 2), (cyclic(1), 9)):
+        with pytest.raises(VarietyError, match=f"\\^{n} is too large to enumerate: the point cap is 8"):
+            variety_of(G, n, [])
